@@ -56,12 +56,6 @@ def welfare(est: AccessEstimate) -> tuple[float, tuple[int, int]]:
     return float(c[u, v]) / est.R, (u, v)
 
 
-def _exact_broadcast(p: np.ndarray) -> np.ndarray:
-    q = p.copy()
-    np.fill_diagonal(q, np.inf)
-    return q.min(axis=1)
-
-
 @dataclass(frozen=True)
 class ControlReport:
     """Access-centrality outputs for one removed node."""
@@ -91,36 +85,41 @@ def _without_node(g: Graph, c: int) -> Graph:
 def access_centrality(
     g: Graph,
     alpha: float,
-    c: int,
+    nodes: list[int],
     R: int = 10_000,
     seed: int = 0,
     exact: bool = False,
     workers: int = 1,
-) -> ControlReport:
-    """Control advantage of node c over the other pairs' access.
+) -> list[ControlReport]:
+    """Control advantage of each node c in ``nodes`` over the other pairs' access.
 
     For every pair (j, k) avoiding c, pair control is the lost fraction
     clamp((p_jk - p'_jk) / p_jk, 0, 1) where p' comes from the graph without
     c. cent_star is the mean over the C(n-1, 2) eligible pairs; the
     unnormalized sum is also reported. Pairs with p_jk = 0 contribute 0.
-    With exact=True the enumeration oracle replaces sampling (small m only).
+    The base estimate is computed once and each node costs one removal
+    estimate. With exact=True the enumeration oracle replaces sampling
+    (small m only).
     """
     alpha = validate_alpha(alpha)
     if g.n < 3:
         raise ValueError("control needs at least 3 nodes")
-    if not (0 <= c < g.n):
-        raise ValueError(f"node {c} out of range")
-    g_removed = _without_node(g, c)
-    if exact:
-        p = exact_access_oracle(g, alpha)
-        p_removed = exact_access_oracle(g_removed, alpha)
-    else:
-        _, est = build_ensemble(g, alpha, R, seed, workers=workers)
-        _, est_removed = build_ensemble(g_removed, alpha, R, seed, workers=workers)
-        p = est.p
-        p_removed = est_removed.p
+    for c in nodes:
+        if not (0 <= c < g.n):
+            raise ValueError(f"node {c} out of range")
 
-    others = np.array([i for i in range(g.n) if i != c])
+    def access(graph: Graph) -> np.ndarray:
+        if exact:
+            return exact_access_oracle(graph, alpha)
+        return build_ensemble(graph, alpha, R, seed, workers=workers)[1].p
+
+    p = access(g)
+    return [_control_report(c, p, access(_without_node(g, c))) for c in nodes]
+
+
+def _control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> ControlReport:
+    """Pair control of node c from the access matrices with and without it."""
+    others = np.array([i for i in range(len(p)) if i != c])
     iu, ju = np.triu_indices(len(others), k=1)
     pj = p[others[iu], others[ju]]
     pr = p_removed[others[iu], others[ju]]

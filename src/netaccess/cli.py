@@ -176,10 +176,11 @@ def _cmd_augment(cfg: RunConfig) -> int:
 
     last_state: dict = {}
 
-    def on_step(step_index: int, added_total: int, est: AccessEstimate) -> None:
+    def on_step(steps_done: int, added_total: int, est: AccessEstimate) -> None:
+        # the first call, before any step, writes metrics_k0.json
         last_state["added"] = added_total
         last_state["est"] = est
-        if (step_index + 1) % cfg.eval_every == 0:
+        if steps_done % cfg.eval_every == 0:
             snapshot(est, added_total)
 
     trace, augmented = run_augmentation(
@@ -192,12 +193,7 @@ def _cmd_augment(cfg: RunConfig) -> int:
         workers=cfg.effective_workers(),
         on_step=on_step,
     )
-    # initial bundle comes from a fresh build with the same seed; coupled
-    # coins make it identical to the pre-augmentation state of the run
-    _, est0 = build_ensemble(g, cfg.alpha, cfg.R, cfg.seed, workers=cfg.effective_workers())
-    snapshot(est0, 0)
-    if last_state:
-        snapshot(last_state["est"], last_state["added"])
+    snapshot(last_state["est"], last_state["added"])
 
     write_trace_csv(trace, g.orig_ids, os.path.join(outdir, "trace.csv"))
     write_edge_list(augmented, os.path.join(outdir, "augmented.edges"))
@@ -303,28 +299,28 @@ def _cmd_control(cfg: RunConfig) -> int:
     else:
         dense_nodes = list(range(g.n))
         logger.warning(
-            "control over all %d nodes requires %d full re-estimations; "
+            "control over all %d nodes requires %d full estimations; "
             "pass --nodes to restrict",
             g.n,
-            g.n,
+            g.n + 1,
         )
+    reports = access_centrality(
+        g,
+        cfg.alpha,
+        dense_nodes,
+        R=cfg.R,
+        seed=cfg.seed,
+        exact=cfg.exact,
+        workers=cfg.effective_workers(),
+    )
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "control.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node,cent_star,max_pair_control,raw_sum\n")
-        for c in dense_nodes:
-            rep = access_centrality(
-                g,
-                cfg.alpha,
-                c,
-                R=cfg.R,
-                seed=cfg.seed,
-                exact=cfg.exact,
-                workers=cfg.effective_workers(),
-            )
+        for rep in reports:
             fh.write(
-                f"{int(g.orig_ids[c])},{rep.cent_star:.6f},"
+                f"{int(g.orig_ids[rep.node])},{rep.cent_star:.6f},"
                 f"{rep.max_pair_control:.6f},{rep.raw_sum:.6f}\n"
             )
     _write_manifest(cfg, outdir, sha)

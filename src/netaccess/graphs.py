@@ -125,8 +125,10 @@ def _graph_from_pairs(
 def load_edge_list(source) -> Graph:
     """Parse an edge list into a Graph.
 
-    ``source`` is a path, bytes, or str. One edge per line: two integer
-    tokens separated by whitespace; lines starting with '#' are comments.
+    ``source`` is bytes, a str holding the content (it has a newline), or
+    a str path (no newline; a missing file raises FileNotFoundError). One
+    edge per line: two integer tokens separated by whitespace; lines
+    starting with '#' are comments.
     Duplicate, reverse-duplicate, and self-loop lines are dropped with a
     counted warning (their node ids still count as nodes). Raises
     EdgeListParseError with a line number on malformed tokens, and
@@ -134,12 +136,9 @@ def load_edge_list(source) -> Graph:
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
-    elif isinstance(source, str) and "\n" not in source and len(source) < 4096:
-        try:
-            with open(source, "rb") as fh:
-                text = fh.read().decode("utf-8")
-        except FileNotFoundError:
-            text = source
+    elif "\n" not in source:
+        with open(source, "rb") as fh:
+            text = fh.read().decode("utf-8")
     else:
         text = source
 
@@ -213,20 +212,27 @@ def largest_connected_component(g: Graph) -> Graph:
     return _graph_from_pairs(sub_pairs, sub_nodes, g.ingest)
 
 
-def graph_diameter_pair(g: Graph) -> tuple[int, int, int]:
+def farthest_pair(g: Graph) -> tuple[int, int, float]:
     """BFS from every node; return (u, v, d) attaining the maximum
-    shortest-path distance, lexicographically smallest pair on ties.
-    Raises on disconnected input (take the LCC first)."""
+    shortest-path distance, lexicographically smallest pair on ties. On
+    disconnected input d is inf and (u, v) the first unreachable pair."""
     d = shortest_path(g.adjacency(), method="D", directed=False, unweighted=True)
-    if np.isinf(d).any():
-        raise ValueError("graph is disconnected; take the largest connected component first")
     # row-major argmax of a symmetric matrix gives the lexicographically
     # smallest maximizing (u, v) with u < v
     flat = int(np.argmax(d))
     u, v = divmod(flat, g.n)
     if u > v:
         u, v = v, u
-    return u, v, int(d[u, v])
+    return u, v, float(d[u, v])
+
+
+def graph_diameter_pair(g: Graph) -> tuple[int, int, int]:
+    """``farthest_pair`` with an integer distance. Raises on disconnected
+    input (take the LCC first)."""
+    u, v, d = farthest_pair(g)
+    if np.isinf(d):
+        raise ValueError("graph is disconnected; take the largest connected component first")
+    return u, v, int(d)
 
 
 def write_edge_list(g: Graph, path: str) -> None:

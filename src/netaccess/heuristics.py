@@ -27,12 +27,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
-from .advantage import broadcast_all
-from .graphs import Graph
-from .sampler import AccessEstimate, SampleEnsemble, add_edge_incremental, build_ensemble
+from .advantage import broadcast_all, influence_all, welfare
+from .graphs import Graph, farthest_pair
+from .sampler import AccessEstimate, add_edge_incremental, build_ensemble
 
 HEURISTIC_KINDS = (
     "rand",
@@ -81,47 +79,21 @@ def select_center(est: AccessEstimate) -> int:
     return int(np.argmax(broadcast_all(est)))
 
 
-@dataclass
-class _RunState:
-    """Mutable view of the augmented graph during a run."""
-
-    n: int
-    edge_set: set[tuple[int, int]]
-    adj: list[set[int]]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_RunState":
-        adj: list[set[int]] = [set() for _ in range(g.n)]
-        for u, v in g.edge_set:
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(n=g.n, edge_set=set(g.edge_set), adj=adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set
-
-    def add(self, u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        self.edge_set.add((u, v))
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
-    def is_complete(self) -> bool:
-        return len(self.edge_set) == self.n * (self.n - 1) // 2
+def _canon(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
 
 
 def resolve_collision(
     kind: str,
     candidate: tuple[int, int],
-    state: _RunState,
+    n: int,
+    edges: set[tuple[int, int]],
     broadcast_order: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, int] | None:
     """Turn an illegal candidate edge into a legal one, or None to skip.
 
+    ``edges`` is the current canonical (u < v) edge set over nodes 0..n-1.
     Center-targeting kinds keep the non-center endpoint u and walk down the
     initial-broadcast order (second-highest onwards) to the first
     non-neighbor of u; if u is adjacent to everything the step is skipped.
@@ -132,45 +104,30 @@ def resolve_collision(
     if kind in _CENTER_KINDS:
         for w in broadcast_order[1:]:
             w = int(w)
-            if w != u and not state.has_edge(u, w):
-                return (u, w) if u < w else (w, u)
+            if w != u and _canon(u, w) not in edges:
+                return _canon(u, w)
         return None
-    while u == v or state.has_edge(u, v):
+    while u == v or _canon(u, v) in edges:
         side = int(rng.integers(2))
-        fresh = int(rng.integers(state.n))
+        fresh = int(rng.integers(n))
         if side == 0:
             u = fresh
         else:
             v = fresh
-    return (u, v) if u < v else (v, u)
+    return _canon(u, v)
 
 
 def _min_pair_candidate(est: AccessEstimate) -> tuple[int, int]:
-    c = est.counters.copy()
-    np.fill_diagonal(c, np.iinfo(np.int32).max)
-    flat = int(np.argmin(c))
-    i, j = divmod(flat, est.n)
-    return (i, j) if i < j else (j, i)
+    return welfare(est)[1]
 
 
-def _diameter_pair(state: _RunState) -> tuple[int, int]:
-    eu = np.array([e[0] for e in sorted(state.edge_set)], dtype=np.int64)
-    ev = np.array([e[1] for e in sorted(state.edge_set)], dtype=np.int64)
-    ones = np.ones(2 * len(eu), dtype=np.int8)
-    g = csr_matrix(
-        (ones, (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
-        shape=(state.n, state.n),
-    )
-    d = shortest_path(g, method="D", directed=False, unweighted=True)
-    flat = int(np.argmax(d))
-    i, j = divmod(flat, state.n)
-    return (i, j) if i < j else (j, i)
+def _diameter_pair(g: Graph) -> tuple[int, int]:
+    u, v, _ = farthest_pair(g)
+    return u, v
 
 
 def _current_broadcast(est: AccessEstimate) -> np.ndarray:
-    c = est.counters.copy()
-    np.fill_diagonal(c, np.iinfo(np.int32).max)
-    return c.min(axis=1)
+    return broadcast_all(est)
 
 
 def run_augmentation(
@@ -188,8 +145,9 @@ def run_augmentation(
     The ensemble is built once (O(R m)) and every added edge costs O(R n)
     via incremental update. The whole trace is a deterministic function of
     (graph, kind, k, alpha, R, seed), independent of worker count.
-    ``on_step`` is called after each recorded step with (step index, total
-    edges added, current estimate).
+    ``on_step`` is called with (steps done, total edges added, current
+    estimate): once before the first step with (0, 0, initial estimate),
+    then after each recorded step. The estimate is updated in place.
     """
     if kind not in HEURISTIC_KINDS:
         raise ValueError(f"unknown heuristic kind {kind!r}")
@@ -215,19 +173,21 @@ def run_augmentation(
         seed=seed,
         center=center if kind in _CENTER_KINDS else None,
     )
-    state = _RunState.from_graph(g)
     n_steps = k // 2 if kind in _PAIRED_KINDS else k
+    n_pairs = g.n * (g.n - 1) // 2
     added_total = 0
+    if on_step is not None:
+        on_step(0, 0, est)
 
     for step in range(n_steps):
-        if state.is_complete():
+        if len(ens.edges) == n_pairs:
             trace.early_termination = "graph became complete"
             break
         events: list[str] = []
         added_now: list[tuple[int, int]] = []
 
         if kind == "rand":
-            raw = [(int(rng.integers(state.n)), int(rng.integers(state.n)))]
+            raw = [(int(rng.integers(g.n)), int(rng.integers(g.n)))]
         elif kind == "bc-chord":
             raw = [_min_pair_candidate(est)]
         elif kind == "bc-one":
@@ -239,47 +199,41 @@ def run_augmentation(
             i, j = _min_pair_candidate(est)
             raw = [(i, center), (j, center)]
         elif kind == "infl":
-            sums = est.counters.sum(axis=1, dtype=np.int64)
-            u = int(np.argmin(sums))
+            u = int(np.argmin(influence_all(est)))
             raw = [(u, center)]
         elif kind == "diam-chord":
-            raw = [_diameter_pair(state)]
+            raw = [_diameter_pair(g.with_edges(trace.edges_added))]
         else:  # diam-both
-            i, j = _diameter_pair(state)
+            i, j = _diameter_pair(g.with_edges(trace.edges_added))
             raw = [(i, center), (j, center)]
 
         for cand in raw:
             cu, cv = cand
-            if cu == cv or state.has_edge(cu, cv):
-                resolved = resolve_collision(kind, cand, state, broadcast_order, rng)
+            if cu == cv or _canon(cu, cv) in ens.edges:
+                resolved = resolve_collision(kind, cand, g.n, ens.edges, broadcast_order, rng)
             else:
-                resolved = (cu, cv) if cu < cv else (cv, cu)
+                resolved = _canon(cu, cv)
             if resolved is None:
                 events.append(f"skipped: node {cand[0]} adjacent to all candidates")
                 continue
             add_edge_incremental(ens, est, resolved)
-            state.add(*resolved)
             added_now.append(resolved)
             added_total += 1
 
-        c = est.counters
-        mask_min = c.copy()
-        np.fill_diagonal(mask_min, np.iinfo(np.int32).max)
-        w = float(mask_min.min()) / R
-        min_b = float(mask_min.min(axis=1).min()) / R
-        min_i = float(c.sum(axis=1, dtype=np.int64).min()) / (float(R) * g.n)
+        w, _ = welfare(est)
         trace.steps.append(
             StepRecord(
                 step=step,
                 edges=added_now,
                 welfare=w,
-                min_broadcast=min_b,
-                min_influence=min_i,
+                # the minimum broadcast is the minimum pair, i.e. welfare
+                min_broadcast=w,
+                min_influence=float(influence_all(est).min()),
                 events=events,
             )
         )
         if on_step is not None:
-            on_step(step, added_total, est)
+            on_step(step + 1, added_total, est)
 
     augmented = g.with_edges(trace.edges_added)
     return trace, augmented

@@ -78,8 +78,8 @@ class SampleEnsemble:
 
     ``labels[r]`` assigns each node its component label in sample r (label
     values are arbitrary but consistent within a row). ``edges`` tracks the
-    current canonical edge set so incremental insertion can reject
-    duplicates.
+    current canonical edge set: incremental insertion rejects duplicates
+    against it and adds to it, so it is the augmented graph's edge set.
     """
 
     n: int
@@ -101,9 +101,6 @@ class AccessEstimate:
     @property
     def p(self) -> np.ndarray:
         return self.counters / float(self.R)
-
-    def off_diagonal_mask(self) -> np.ndarray:
-        return ~np.eye(self.n, dtype=bool)
 
 
 def _accumulate_block(
@@ -359,17 +356,35 @@ def save_estimate(est: AccessEstimate, orig_ids: np.ndarray, alpha: float, seed:
 
 
 def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
-    """Read a binary dump; returns (estimate, orig_ids, alpha, seed)."""
+    """Read a binary dump; returns (estimate, orig_ids, alpha, seed).
+
+    Raises ValueError naming the problem on a bad magic or header field, a
+    truncated file, or trailing bytes."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != ESTIMATE_MAGIC:
-            raise ValueError(f"not an access-estimate file: bad magic {magic!r}")
-        version, n, R, alpha, seed = struct.unpack("<IIIdQ", fh.read(28))
-        if version != 1:
-            raise ValueError(f"unsupported estimate file version {version}")
-        orig_ids = np.frombuffer(fh.read(4 * n), dtype="<u4").astype(np.int64)
-        cnt = fh.read(4 * (n * (n - 1) // 2))
-    tri = np.frombuffer(cnt, dtype="<u4").astype(np.int32)
+        data = fh.read()
+    if data[:4] != ESTIMATE_MAGIC:
+        raise ValueError(f"not an access-estimate file: bad magic {data[:4]!r}")
+    if len(data) < 32:
+        raise ValueError(f"truncated estimate file: {len(data)} bytes, header needs 32")
+    version, n, R, alpha, seed = struct.unpack_from("<IIIdQ", data, 4)
+    if version != 1:
+        raise ValueError(f"unsupported estimate file version {version}")
+    if n < 1:
+        raise ValueError(f"estimate file header: n must be at least 1, got {n}")
+    if not (1 <= R < 2**31):
+        raise ValueError(f"estimate file header: R must lie in [1, 2**31), got {R}")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"estimate file header: alpha must lie in (0,1), got {alpha}")
+    n_pairs = n * (n - 1) // 2
+    expected = 32 + 4 * n + 4 * n_pairs
+    if len(data) < expected:
+        raise ValueError(f"truncated estimate file: {len(data)} bytes, n={n} needs {expected}")
+    if len(data) > expected:
+        raise ValueError(
+            f"estimate file has {len(data) - expected} trailing bytes after {expected}"
+        )
+    orig_ids = np.frombuffer(data, dtype="<u4", count=n, offset=32).astype(np.int64)
+    tri = np.frombuffer(data, dtype="<u4", count=n_pairs, offset=32 + 4 * n).astype(np.int32)
     counters = np.zeros((n, n), dtype=np.int32)
     iu, ju = np.triu_indices(n, k=1)
     counters[iu, ju] = tri

@@ -25,7 +25,7 @@ def test_monte_carlo_agrees_with_oracle():
     rng = np.random.default_rng(2024)
     R = 10_000
     n_graphs = 20
-    worst = 0.0
+    worst = -np.inf
     for gi in range(n_graphs):
         n, edges = random_connected_graph(rng, n_max=8, m_max=16)
         g = _load("".join(f"{u} {v}\n" for u, v in edges).encode())
@@ -162,15 +162,15 @@ def test_broadcast_gap_shrinks(effectiveness_runs):
 
 def test_control_fixtures():
     triad = _load(b"0 1\n1 2\n")
-    mc = na.access_centrality(triad, 0.5, 1, R=10_000, seed=0)
+    mc = na.access_centrality(triad, 0.5, [1], R=10_000, seed=0)[0]
     assert abs(mc.max_pair_control - 1.0) <= 0.02
-    exact = na.access_centrality(triad, 0.5, 1, exact=True)
+    exact = na.access_centrality(triad, 0.5, [1], exact=True)[0]
     assert exact.max_pair_control == 1.0
     for leaf in (0, 2):
-        assert na.access_centrality(triad, 0.5, leaf, R=10_000, seed=1).cent_star == 0.0
-        assert na.access_centrality(triad, 0.5, leaf, exact=True).cent_star == 0.0
+        assert na.access_centrality(triad, 0.5, [leaf], R=10_000, seed=1)[0].cent_star == 0.0
+        assert na.access_centrality(triad, 0.5, [leaf], exact=True)[0].cent_star == 0.0
     tri = _load(b"0 1\n1 2\n0 2\n")
-    trep = na.access_centrality(tri, 0.5, 0, exact=True)
+    trep = na.access_centrality(tri, 0.5, [0], exact=True)[0]
     assert abs(trep.max_pair_control - 0.2) < 1e-12
     record_acceptance(
         "PASS control fixtures: triad middle 1.0 (MC within 0.02, oracle exact), "

@@ -84,7 +84,7 @@ def test_broadcast_le_influence():
 
 def test_triad_middle_controls_everything_exact():
     g = na.load_edge_list(b"0 1\n1 2\n")
-    rep = na.access_centrality(g, 0.5, 1, exact=True)
+    rep = na.access_centrality(g, 0.5, [1], exact=True)[0]
     assert rep.cent_star == 1.0
     assert rep.max_pair_control == 1.0
     assert rep.raw_sum == 1.0
@@ -92,7 +92,7 @@ def test_triad_middle_controls_everything_exact():
 
 def test_triad_leaf_controls_nothing_exact():
     g = na.load_edge_list(b"0 1\n1 2\n")
-    rep = na.access_centrality(g, 0.5, 0, exact=True)
+    rep = na.access_centrality(g, 0.5, [0], exact=True)[0]
     assert rep.cent_star == 0.0
     assert rep.raw_sum == 0.0
 
@@ -101,14 +101,14 @@ def test_leaf_control_is_zero_under_monte_carlo():
     # coupled coins: removing a leaf cannot change other pairs' samples
     g = na.load_edge_list(b"0 1\n1 2\n2 3\n")
     for c in (0, 3):
-        rep = na.access_centrality(g, 0.5, c, R=500, seed=3)
+        rep = na.access_centrality(g, 0.5, [c], R=500, seed=3)[0]
         assert rep.cent_star == 0.0
         assert rep.raw_sum == 0.0
 
 
 def test_triangle_node_control_exact():
     g = na.load_edge_list(b"0 1\n1 2\n0 2\n")
-    rep = na.access_centrality(g, 0.5, 0, exact=True)
+    rep = na.access_centrality(g, 0.5, [0], exact=True)[0]
     # (0.625 - 0.5) / 0.625
     assert abs(rep.cent_star - 0.2) < 1e-12
     assert abs(rep.max_pair_control - 0.2) < 1e-12
@@ -116,7 +116,7 @@ def test_triangle_node_control_exact():
 
 def test_star_center_controls_all_pairs():
     g = na.load_edge_list(b"0 1\n0 2\n0 3\n")
-    rep = na.access_centrality(g, 0.5, 0, exact=True)
+    rep = na.access_centrality(g, 0.5, [0], exact=True)[0]
     assert rep.cent_star == 1.0
     assert rep.raw_sum == 3.0  # C(3,2) fully severed pairs
 
@@ -125,15 +125,15 @@ def test_path_cut_node_control_monte_carlo_exact_fraction():
     # removing node 1 from 0-1-2-3 severs exactly the pairs through it;
     # severed pairs contribute 1 and the rest 0, so cent* is exact even MC
     g = na.load_edge_list(b"0 1\n1 2\n2 3\n")
-    rep = na.access_centrality(g, 0.5, 1, R=800, seed=0)
+    rep = na.access_centrality(g, 0.5, [1], R=800, seed=0)[0]
     assert abs(rep.cent_star - 2 / 3) < 1e-12
     assert rep.max_pair_control == 1.0
 
 
 def test_control_bounds_and_determinism():
     g = na.load_edge_list(b"0 1\n1 2\n0 2\n2 3\n")
-    a = na.access_centrality(g, 0.4, 2, R=600, seed=5)
-    b = na.access_centrality(g, 0.4, 2, R=600, seed=5)
+    a = na.access_centrality(g, 0.4, [2], R=600, seed=5)[0]
+    b = na.access_centrality(g, 0.4, [2], R=600, seed=5)[0]
     assert (a.cent_star, a.max_pair_control, a.raw_sum) == (
         b.cent_star,
         b.max_pair_control,
@@ -145,9 +145,20 @@ def test_control_bounds_and_determinism():
 
 
 def test_control_validates_node():
-    g = na.load_edge_list(b"0 1\n")
-    with pytest.raises(ValueError):
-        na.access_centrality(g, 0.5, 5, R=10)
+    with pytest.raises(ValueError, match="3 nodes"):
+        na.access_centrality(na.load_edge_list(b"0 1\n"), 0.5, [0], R=10)
+    g = na.load_edge_list(b"0 1\n1 2\n")
+    with pytest.raises(ValueError, match="out of range"):
+        na.access_centrality(g, 0.5, [1, 5], R=10)
+
+
+def test_control_node_list_matches_single_node_calls():
+    # the base estimate is shared; each report still equals a one-node run
+    g = na.load_edge_list(b"0 1\n1 2\n0 2\n2 3\n3 4\n")
+    nodes = [4, 2, 0, 2]
+    reps = na.access_centrality(g, 0.4, nodes, R=600, seed=5)
+    assert [r.node for r in reps] == nodes
+    assert reps == [na.access_centrality(g, 0.4, [c], R=600, seed=5)[0] for c in nodes]
 
 
 # --- csv export -----------------------------------------------------------
@@ -167,7 +178,7 @@ def test_advantage_csv_without_control(tmp_path):
 def test_advantage_csv_with_control(tmp_path):
     g = na.load_edge_list(b"0 1\n1 2\n")
     _, est = na.build_ensemble(g, 0.5, 100, 0)
-    control = {d: na.access_centrality(g, 0.5, d, exact=True) for d in range(3)}
+    control = dict(enumerate(na.access_centrality(g, 0.5, [0, 1, 2], exact=True)))
     out = tmp_path / "adv.csv"
     na.write_advantage_csv(na.advantage_report(est), g.orig_ids, str(out), control=control)
     lines = out.read_text().splitlines()

@@ -9,6 +9,7 @@ from netaccess import (
     load_edge_list,
     write_edge_list,
 )
+from netaccess.graphs import farthest_pair
 
 
 def test_basic_parse():
@@ -56,6 +57,11 @@ def test_path_and_bytes_and_str_sources(tmp_path):
     for src in (str(f), content.encode(), content * 200):
         g = load_edge_list(src)
         assert (g.n, g.m) == (3, 2)
+
+
+def test_missing_path_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_edge_list(str(tmp_path / "missing.edges"))
 
 
 def test_original_ids_preserved_and_dense_order_sorted():
@@ -140,6 +146,12 @@ def test_diameter_pair_disconnected_raises():
     g = load_edge_list(b"0 1\n2 3\n")
     with pytest.raises(ValueError, match="disconnected"):
         graph_diameter_pair(g)
+
+
+def test_farthest_pair_disconnected_is_first_unreachable_pair():
+    # the augmentation heuristics join such a pair first
+    g = load_edge_list(b"0 1\n1 2\n3 4\n")
+    assert farthest_pair(g) == (0, 3, np.inf)
 
 
 def test_write_then_load_round_trip(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import netaccess as na
 from netaccess import AccessEstimate
-from netaccess.heuristics import _RunState, resolve_collision
+from netaccess.heuristics import resolve_collision
 
 PATH6 = b"0 1\n1 2\n2 3\n3 4\n4 5\n"
 
@@ -38,14 +38,15 @@ def test_select_center_tie_takes_first():
 
 
 def _state(text):
-    return _RunState.from_graph(na.load_edge_list(text))
+    g = na.load_edge_list(text)
+    return g.n, set(g.edge_set)
 
 
 def test_collision_center_kind_walks_to_next_non_neighbor():
     state = _state(b"0 1\n0 2\n0 3\n")
     order = np.array([0, 1, 2, 3])  # descending initial broadcast
     rng = np.random.default_rng(0)
-    resolved = resolve_collision("bc-one", (1, 0), state, order, rng)
+    resolved = resolve_collision("bc-one", (1, 0), *state, order, rng)
     assert resolved == (1, 2)
 
 
@@ -53,21 +54,21 @@ def test_collision_center_kind_skips_when_saturated():
     state = _state(b"0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")  # K4
     order = np.array([0, 1, 2, 3])
     rng = np.random.default_rng(0)
-    assert resolve_collision("infl", (1, 0), state, order, rng) is None
+    assert resolve_collision("infl", (1, 0), *state, order, rng) is None
 
 
 def test_collision_redraw_finds_the_only_legal_edge():
     # path 0-1-2: the only absent edge is (0,2), any redraw must land there
     state = _state(b"0 1\n1 2\n")
     rng = np.random.default_rng(5)
-    resolved = resolve_collision("rand", (1, 1), state, np.array([1, 0, 2]), rng)
+    resolved = resolve_collision("rand", (1, 1), *state, np.array([1, 0, 2]), rng)
     assert tuple(sorted(resolved)) == (0, 2)
 
 
 def test_collision_legal_candidate_passes_through():
     state = _state(b"0 1\n1 2\n")
     rng = np.random.default_rng(0)
-    assert resolve_collision("bc-chord", (0, 2), state, np.array([1, 0, 2]), rng) == (0, 2)
+    assert resolve_collision("bc-chord", (0, 2), *state, np.array([1, 0, 2]), rng) == (0, 2)
 
 
 # --- run validation -------------------------------------------------------
@@ -217,10 +218,23 @@ def test_on_step_callback_sees_running_totals():
     na.run_augmentation(
         g, "bc-both", 4, 0.5, 300, 0, on_step=lambda s, a, est: calls.append((s, a))
     )
-    assert [c[0] for c in calls] == [0, 1]
+    # one call before the first step, then one after each step
+    assert [c[0] for c in calls] == [0, 1, 2]
     totals = [c[1] for c in calls]
     assert totals == sorted(totals)
-    assert totals[-1] == 4
+    assert totals[0] == 0 and totals[-1] == 4
+
+
+def test_on_step_first_call_is_the_initial_estimate():
+    g = na.load_edge_list(PATH6)
+    seen = []
+    na.run_augmentation(
+        g, "bc-chord", 2, 0.5, 300, 1,
+        on_step=lambda s, a, est: seen.append((s, a, est.counters.copy())),
+    )
+    _, est0 = na.build_ensemble(g, 0.5, 300, 1)
+    assert seen[0][:2] == (0, 0)
+    assert np.array_equal(seen[0][2], est0.counters)
 
 
 def test_step_metrics_match_estimate_state():

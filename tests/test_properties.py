@@ -102,6 +102,18 @@ def test_incremental_equals_rebuild(g, alpha, seed, pick):
     assert np.all(est.counters >= before)
 
 
+@given(edge_graphs(), alphas, alphas, seeds)
+def test_nested_alpha_counters_and_welfare_grow(g, a1, a2, seed):
+    # the coin draw does not depend on alpha, so live(a1) is a subset of
+    # live(a2) in every sample when a1 < a2
+    assume(a1 != a2)
+    a1, a2 = sorted((a1, a2))
+    _, lo = na.build_ensemble(g, a1, 64, seed)
+    _, hi = na.build_ensemble(g, a2, 64, seed)
+    assert np.all(lo.counters <= hi.counters)
+    assert na.welfare(lo)[0] <= na.welfare(hi)[0]
+
+
 @given(edge_graphs(connected=True, n_max=5), st.sampled_from([0.25, 0.5, 0.75]))
 def test_oracle_permutation_invariant(g, alpha):
     assume(g.m <= 8)

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from reference import ref_exact_access, ref_pair_counts, random_connected_graph
 
 import netaccess as na
+from netaccess.cli import main as cli_main
 from netaccess.sampler import _edge_hashes, _live_rows
 
 
@@ -280,3 +283,34 @@ def test_load_estimate_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
         na.load_estimate(str(path))
+
+
+def _header(version=1, n=3, R=900, alpha=0.37):
+    return b"ACE1" + struct.pack("<IIIdQ", version, n, R, alpha, 13)
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda blob: blob[:-1], "truncated"),
+        (lambda blob: blob[:20], "truncated"),
+        (lambda blob: blob + b"\x00", "trailing"),
+        (lambda blob: _header(version=2) + blob[32:], "version"),
+        (lambda blob: _header(n=0) + blob[32:], "n must"),
+        (lambda blob: _header(R=0) + blob[32:], "R must"),
+        (lambda blob: _header(R=2**31) + blob[32:], "R must"),
+        (lambda blob: _header(alpha=1.5) + blob[32:], "alpha"),
+    ],
+)
+def test_load_estimate_rejects_malformed_files(tmp_path, capsys, mangle, message):
+    g = _graph(b"2 4\n4 6\n2 6\n")
+    _, est = na.build_ensemble(g, 0.37, 900, 13)
+    path = tmp_path / "est.bin"
+    na.save_estimate(est, g.orig_ids, 0.37, 13, str(path))
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        na.load_estimate(str(path))
+    # the CLI reports the same message as a runtime failure
+    code = cli_main(["evaluate", "--estimate-in", str(path), "--output-dir", str(tmp_path / "ev")])
+    assert code == 1
+    assert message in capsys.readouterr().err
