@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 from . import __version__
 from .advantage import access_centrality, advantage_report, write_advantage_csv
@@ -143,7 +144,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     _, est = build_ensemble(g, cfg.alpha, cfg.R, cfg.seed, workers=cfg.effective_workers())
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    write_access_csv(est, g.orig_ids, os.path.join(outdir, "access.csv"))
+    write_access_csv(est.p, g.orig_ids, os.path.join(outdir, "access.csv"))
     write_advantage_csv(advantage_report(est), g.orig_ids, os.path.join(outdir, "advantage.csv"))
     if cfg.estimate_out:
         save_estimate(est, g.orig_ids, cfg.alpha, cfg.seed, cfg.estimate_out)
@@ -250,12 +251,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     p = exact_access_oracle(g, cfg.alpha)
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "access.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,p\n")
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                fh.write(f"{int(g.orig_ids[i])},{int(g.orig_ids[j])},{p[i, j]:.6f}\n")
+    write_access_csv(p, g.orig_ids, os.path.join(outdir, "access.csv"))
     _write_manifest(cfg, outdir, sha)
     print(f"oracle: n={g.n} m={g.m} exact matrix -> {outdir}")
     return 0
@@ -295,6 +291,8 @@ def _cmd_control(cfg: RunConfig) -> int:
         for orig in requested:
             if orig not in g.label_map:
                 raise ConfigError("nodes", f"node {orig} not present in the graph")
+            if g.label_map[orig] in dense_nodes:
+                raise ConfigError("nodes", f"node {orig} is listed more than once")
             dense_nodes.append(g.label_map[orig])
     else:
         dense_nodes = list(range(g.n))
@@ -399,17 +397,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+# the JSON types a config file may give each field; alpha may also be a
+# comma-separated list
+_FILE_TYPES = {**get_type_hints(RunConfig), "alpha": int | float | str}
+del _FILE_TYPES["command"]
 
 
 def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, list[float]]:
     file_values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - _CONFIG_KEYS - {"alpha"}
+            try:
+                file_values = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ConfigError("config", f"{args.config} is not valid JSON: {exc}")
+        if not isinstance(file_values, dict):
+            raise ConfigError("config", f"{args.config} must hold a JSON object")
+        unknown = set(file_values) - set(_FILE_TYPES)
         if unknown:
             raise ConfigError("config", f"unknown config file keys: {sorted(unknown)}")
+        for name, value in file_values.items():
+            expected = _FILE_TYPES[name]
+            # bool is an int subclass, so only a bool field takes true/false
+            if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+                type_name = getattr(expected, "__name__", expected)
+                raise ConfigError(name, f"config file value {value!r} is not {type_name}")
 
     cfg = RunConfig(command=args.command)
     for f in fields(RunConfig):

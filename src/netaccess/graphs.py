@@ -7,6 +7,7 @@ All user-facing output maps back through ``orig_ids``.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,9 +127,9 @@ def load_edge_list(source) -> Graph:
     """Parse an edge list into a Graph.
 
     ``source`` is bytes, a str holding the content (it has a newline), or
-    a str path (no newline; a missing file raises FileNotFoundError). One
-    edge per line: two integer tokens separated by whitespace; lines
-    starting with '#' are comments.
+    a path: an ``os.PathLike`` or a str without a newline (a missing file
+    raises FileNotFoundError). One edge per line: two integer tokens
+    separated by whitespace; lines starting with '#' are comments.
     Duplicate, reverse-duplicate, and self-loop lines are dropped with a
     counted warning (their node ids still count as nodes). Raises
     EdgeListParseError with a line number on malformed tokens, and
@@ -136,7 +137,7 @@ def load_edge_list(source) -> Graph:
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
-    elif "\n" not in source:
+    elif isinstance(source, os.PathLike) or "\n" not in source:
         with open(source, "rb") as fh:
             text = fh.read().decode("utf-8")
     else:

@@ -12,12 +12,13 @@ The live/dead coin for (sample r, edge e) is a pure function of
 only merge components, never split them, and an incrementally updated
 ensemble is bit-identical to one rebuilt from scratch on the larger graph.
 
-Counter accumulation (build time) follows a per-sample mode switch: when the
-component structure is fragmented (sum of squared component sizes at most
-n^2/2) co-occurrence is counted directly inside each component; otherwise
-almost everything sits in one giant component and it is cheaper to count the
-complement (nodes outside the giant) and convert at the end. Counters are
-32-bit, so R must stay below 2**31.
+Co-occurrence is counted as a sparse product G^T G, where G is 0/1 with one
+row per group of nodes and one column per node. In a fragmented sample (sum
+of squared component sizes at most n^2/2) every component is a group. In any
+other sample the first largest component is the giant: it is counted through
+its complement, one group of the nodes outside it, beside the other
+components. Inserting an edge adds A^T B and its transpose, A and B being the
+two sides it merges in each sample. Counters are 32-bit, so R < 2**31.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import Graph
@@ -112,12 +113,14 @@ def _accumulate_block(
     r_lo: int,
     r_hi: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Process one block of samples.
+    """Label one block of samples and count its pairs as G^T G.
 
-    Returns (partial direct/complement counters, per-node outside-giant
-    counts, component labels for the block, number of complement-mode rows).
-    All pieces combine across blocks by integer addition, so the result is
-    independent of block scheduling.
+    G has one row per component of a fragmented sample, one per non-giant
+    component of a giant sample, and one per giant sample holding the nodes
+    outside its giant. Returns (G^T G, per-node outside-giant counts, the
+    block's component labels, number of giant samples). Labels are unique
+    across the block's rows. All pieces combine across blocks by integer
+    addition, so the result is independent of block scheduling.
     """
     b = r_hi - r_lo
     live = _live_rows(edge_hash, r_lo, r_hi, alpha)
@@ -128,37 +131,23 @@ def _accumulate_block(
         (np.ones(len(rows), dtype=np.int8), (off + eu[cols], off + ev[cols])),
         shape=(b * n, b * n),
     )
-    _, flat = connected_components(g, directed=False)
-    flat = flat.astype(np.int32)
-    sizes = np.bincount(flat)
-    lab = flat.reshape(b, n)
-
-    same = np.zeros((n, n), dtype=np.int32)
-    row_out = np.zeros(n, dtype=np.int32)
-    rc = 0
-    half = n * n / 2
-    for r in range(b):
-        lrow = lab[r]
-        counts = sizes[lrow]
-        if int(counts.sum()) <= half:
-            # fragmented sample: count pairs inside each component directly
-            order = np.argsort(lrow, kind="stable")
-            svals = lrow[order]
-            bounds = np.flatnonzero(np.diff(svals)) + 1
-            for mem in np.split(order, bounds):
-                if len(mem) > 1:
-                    same[np.ix_(mem, mem)] += 1
-        else:
-            # giant-component sample: count the complement and convert later
-            giant_label = lrow[int(np.argmax(counts))]
-            rest = np.flatnonzero(lrow != giant_label)
-            rc += 1
-            row_out[rest] += 1
-            if len(rest):
-                lr = lrow[rest]
-                eq = (lr[:, None] == lr[None, :]).astype(np.int32)
-                same[np.ix_(rest, rest)] += eq + 1
-    return same, row_out, lab, rc
+    n_comp, flat = connected_components(g, directed=False)
+    lab = flat.astype(np.int32).reshape(b, n)
+    counts = np.bincount(flat)[lab]
+    giant = counts.sum(axis=1) > n * n / 2
+    giant_label = lab[np.arange(b), counts.argmax(axis=1)]
+    in_giant = giant[:, None] & (lab == giant_label[:, None])
+    outside = giant[:, None] & ~in_giant
+    # one group per counted component, then one per row for its outside set
+    out_r, out_i = np.nonzero(outside)
+    groups = np.concatenate([lab[~in_giant], n_comp + out_r])
+    nodes = np.concatenate([np.nonzero(~in_giant)[1], out_i])
+    members = csr_matrix(
+        (np.ones(len(groups), dtype=np.int32), (groups, nodes)), shape=(n_comp + b, n)
+    )
+    same = (members.T @ members).toarray()
+    row_out = outside.sum(axis=0, dtype=np.int32)
+    return same, row_out, lab, int(giant.sum())
 
 
 def build_ensemble(
@@ -214,13 +203,14 @@ def build_ensemble(
 def add_edge_incremental(
     ens: SampleEnsemble, est: AccessEstimate, e: tuple[int, int]
 ) -> tuple[SampleEnsemble, AccessEstimate]:
-    """Insert edge e into every sample whose coin is live; O(R n) worst case.
+    """Insert edge e into every sample whose coin is live.
 
     In each live sample where the endpoints lie in different components the
-    components merge and every cross pair's counter increments. Counters are
-    therefore non-decreasing, and the updated state equals a from-scratch
-    build on the augmented graph with the same seed (same coin function).
-    Mutates and returns (ens, est).
+    components merge and every cross pair's counter increments: the delta is
+    A^T B plus its transpose, with one row of A (B) per merging sample
+    marking u's (v's) component. Counters are therefore non-decreasing, and
+    the updated state equals a from-scratch build on the augmented graph
+    with the same seed (same coin function). Mutates and returns (ens, est).
     """
     u, v = e
     if u > v:
@@ -236,20 +226,13 @@ def add_edge_incremental(
     live = _live_rows(eh, 0, ens.R, ens.alpha)[:, 0]
     lab = ens.labels
     merge_rows = np.flatnonzero(live & (lab[:, u] != lab[:, v]))
-    counters = est.counters
-    for r in merge_rows.tolist():
-        lrow = lab[r]
-        la = lrow[u]
-        lb = lrow[v]
-        side_a = np.flatnonzero(lrow == la)
-        side_b = np.flatnonzero(lrow == lb)
-        counters[np.ix_(side_a, side_b)] += 1
-        counters[np.ix_(side_b, side_a)] += 1
-        # relabel the smaller side to keep the row consistent
-        if len(side_a) < len(side_b):
-            lrow[side_a] = lb
-        else:
-            lrow[side_b] = la
+    sub = lab[merge_rows]
+    side_a = sub == sub[:, [u]]
+    side_b = sub == sub[:, [v]]
+    cross = (csr_matrix(side_a, dtype=np.int32).T @ csr_matrix(side_b, dtype=np.int32)).toarray()
+    est.counters += cross
+    est.counters += cross.T
+    lab[merge_rows] = np.where(side_b, sub[:, [u]], sub)
     ens.edges.add((u, v))
     return ens, est
 
@@ -326,16 +309,12 @@ def stability_check(
     return float(dev.max()), float(dev.mean())
 
 
-def write_access_csv(est: AccessEstimate, orig_ids: np.ndarray, path: str) -> None:
+def write_access_csv(p: np.ndarray, orig_ids: np.ndarray, path: str) -> None:
     """CSV "i,j,p" over original ids with i<j, 6 decimal digits."""
-    n = est.n
-    iu, ju = np.triu_indices(n, k=1)
-    p = est.counters[iu, ju] / float(est.R)
-    oi = orig_ids[iu]
-    oj = orig_ids[ju]
+    iu, ju = np.triu_indices(len(p), k=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,p\n")
-        for a, b, val in zip(oi.tolist(), oj.tolist(), p.tolist()):
+        for a, b, val in zip(orig_ids[iu].tolist(), orig_ids[ju].tolist(), p[iu, ju].tolist()):
             fh.write(f"{a},{b},{val:.6f}\n")
 
 

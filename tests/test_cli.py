@@ -104,6 +104,30 @@ def test_unknown_config_key_exits_2(graph_file, tmp_path):
                "--output-dir", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (b'{"R": "100"}', "R"),
+        (b'{"lcc": "no"}', "lcc"),
+        (b'{"workers": 1.5}', "workers"),
+        (b'{"seed": true}', "seed"),
+        (b'{"alpha": [0.3]}', "alpha"),
+        (b'{"R": 100', "config"),
+        (b'{"R": 1\xff}', "config"),
+        (b'[0.5]', "config"),
+    ],
+)
+def test_malformed_config_file_exits_2_naming_the_field(graph_file, tmp_path, capsys, text, field):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(text)
+    assert run("estimate", "--input", graph_file, "--config", str(cfg),
+               "--output-dir", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    if field == "config":
+        assert str(cfg) in err
+
+
 def test_bad_alpha_exits_2(graph_file, tmp_path, capsys):
     assert run("estimate", "--input", graph_file, "--alpha", "1.5",
                "--output-dir", str(tmp_path / "o")) == 2
@@ -246,6 +270,16 @@ def test_control_unknown_node_exits_2(tmp_path):
     f.write_text("0 1\n")
     assert run("control", "--input", str(f), "--nodes", "7",
                "--output-dir", str(tmp_path / "o")) == 2
+
+
+def test_control_repeated_node_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.edges"
+    f.write_text("0 1\n1 2\n2 3\n")
+    out = tmp_path / "o"
+    assert run("control", "--input", str(f), "--nodes", "1,2,1", "--R", "100",
+               "--output-dir", str(out)) == 2
+    assert "nodes: node 1 is listed more than once" in capsys.readouterr().err
+    assert not (out / "control.csv").exists()
 
 
 # --- console entry point --------------------------------------------------

@@ -54,7 +54,7 @@ def test_path_and_bytes_and_str_sources(tmp_path):
     content = "0 1\n1 2\n"
     f = tmp_path / "g.edges"
     f.write_text(content)
-    for src in (str(f), content.encode(), content * 200):
+    for src in (f, str(f), content.encode(), content * 200):
         g = load_edge_list(src)
         assert (g.n, g.m) == (3, 2)
 

@@ -6,7 +6,7 @@ from reference import ref_exact_access, ref_pair_counts, random_connected_graph
 
 import netaccess as na
 from netaccess.cli import main as cli_main
-from netaccess.sampler import _edge_hashes, _live_rows
+from netaccess.sampler import _accumulate_block, _edge_hashes, _live_rows
 
 
 def _graph(text: bytes):
@@ -112,6 +112,24 @@ def test_build_counts_match_reference_union_find():
             live = _live_rows(eh, 0, R, alpha)
             expect = ref_pair_counts(n, list(zip(g.eu.tolist(), g.ev.tolist())), live)
             assert np.array_equal(est.counters, expect)
+
+    # one block holding both regimes: on a 5-cycle at alpha 0.5 some samples
+    # are fragmented and others have a giant component
+    g = _graph(b"0 1\n1 2\n2 3\n3 4\n0 4\n")
+    R = 300
+    eh = _edge_hashes(0, g.eu, g.ev)
+    *_, giant_rows = _accumulate_block(g.n, eh, g.eu, g.ev, 0.5, 0, R)
+    assert 0 < giant_rows < R
+    ens, est = na.build_ensemble(g, 0.5, R, 0)
+    live = _live_rows(eh, 0, R, 0.5)
+    expect = ref_pair_counts(g.n, list(zip(g.eu.tolist(), g.ev.tolist())), live)
+    assert np.array_equal(est.counters, expect)
+    na.add_edge_incremental(ens, est, (0, 2))
+    rebuilt_ens, rebuilt = na.build_ensemble(g.with_edges([(0, 2)]), 0.5, R, 0)
+    assert np.array_equal(est.counters, rebuilt.counters)
+    # the relabelled rows describe the same components as the rebuild's
+    for lab, ref in zip(ens.labels, rebuilt_ens.labels):
+        assert np.array_equal(lab[:, None] == lab[None, :], ref[:, None] == ref[None, :])
 
 
 def test_build_multi_block_counts_match_reference():
@@ -257,7 +275,7 @@ def test_access_csv_format(tmp_path):
     g = _graph(b"5 7\n7 9\n")
     _, est = na.build_ensemble(g, 0.5, 100, 0)
     out = tmp_path / "access.csv"
-    na.write_access_csv(est, g.orig_ids, str(out))
+    na.write_access_csv(est.p, g.orig_ids, str(out))
     lines = out.read_text().splitlines()
     assert lines[0] == "i,j,p"
     assert len(lines) == 1 + 3  # C(3,2) pairs
