@@ -358,7 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         p.add_argument(
             "--no-lcc",
-            action="store_true",
+            dest="lcc",
+            action="store_const",
+            const=False,
             help="skip largest-connected-component extraction",
         )
 
@@ -392,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ct = sub.add_parser("control", help="access-centrality report (costly: re-estimates per node)")
     common(p_ct)
     p_ct.add_argument("--nodes", help="comma-separated original ids (default: all, with a warning)")
-    p_ct.add_argument("--exact", action="store_true", help="use the exact oracle (small m)")
+    p_ct.add_argument("--exact", action="store_const", const=True, help="use the exact oracle (small m)")
 
     return parser
 
@@ -428,10 +430,6 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, list[float]]:
         if f.name == "command":
             continue
         flag_val = getattr(args, f.name, None)
-        if f.name == "lcc":
-            flag_val = False if getattr(args, "no_lcc", False) else None
-        if f.name == "exact":
-            flag_val = True if getattr(args, "exact", False) else None
         if flag_val is not None:
             setattr(cfg, f.name, flag_val)
         elif f.name in file_values and f.name != "alpha":

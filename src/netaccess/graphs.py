@@ -7,7 +7,6 @@ All user-facing output maps back through ``orig_ids``.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,16 +131,21 @@ def load_edge_list(source) -> Graph:
     separated by whitespace; lines starting with '#' are comments.
     Duplicate, reverse-duplicate, and self-loop lines are dropped with a
     counted warning (their node ids still count as nodes). Raises
-    EdgeListParseError with a line number on malformed tokens, and
-    EmptyInputError when no nodes are found.
+    EdgeListParseError with a line number on malformed tokens or bytes
+    that are not UTF-8, and EmptyInputError when no nodes are found.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, os.PathLike) or "\n" not in source:
-        with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    else:
+    if isinstance(source, str) and "\n" in source:
         text = source
+    else:
+        if not isinstance(source, bytes):
+            with open(source, "rb") as fh:
+                source = fh.read()
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the decoded prefix plus one character ends on the bad byte's line
+            lineno = len((source[: exc.start].decode("utf-8") + "|").splitlines())
+            raise EdgeListParseError(f"line {lineno}: not valid UTF-8") from None
 
     seen: set[tuple[int, int]] = set()
     pairs: list[tuple[int, int]] = []

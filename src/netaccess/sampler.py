@@ -19,6 +19,9 @@ other sample the first largest component is the giant: it is counted through
 its complement, one group of the nodes outside it, beside the other
 components. Inserting an edge adds A^T B and its transpose, A and B being the
 two sides it merges in each sample. Counters are 32-bit, so R < 2**31.
+
+The exact oracle labels all 2^m coin outcomes in chunks like sample blocks
+and adds their one-hot product weighted by each outcome's probability.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 512
 ORACLE_EDGE_CAP = 20
+_ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
 
 ESTIMATE_MAGIC = b"ACE1"
 
@@ -104,6 +108,20 @@ class AccessEstimate:
         return self.counters / float(self.R)
 
 
+def _label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray) -> tuple[int, np.ndarray]:
+    """Label the rows of a (b, m) live matrix as one disjoint union, row r on
+    nodes r*n..r*n+n-1: (number of components, b*n labels unique across rows)."""
+    b = live.shape[0]
+    rows, cols = np.nonzero(live)
+    rows *= n
+    g = coo_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows + eu[cols], rows + ev[cols])),
+        shape=(b * n, b * n),
+    )
+    del rows, cols  # free the int64 offsets; the matrix holds its own coordinates
+    return connected_components(g, directed=False)
+
+
 def _accumulate_block(
     n: int,
     edge_hash: np.ndarray,
@@ -124,14 +142,7 @@ def _accumulate_block(
     """
     b = r_hi - r_lo
     live = _live_rows(edge_hash, r_lo, r_hi, alpha)
-    rows, cols = np.nonzero(live)
-    # disjoint union of the b live subgraphs in one sparse matrix
-    off = rows * n
-    g = coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (off + eu[cols], off + ev[cols])),
-        shape=(b * n, b * n),
-    )
-    n_comp, flat = connected_components(g, directed=False)
+    n_comp, flat = _label_rows(n, eu, ev, live)
     lab = flat.astype(np.int32).reshape(b, n)
     counts = np.bincount(flat)[lab]
     giant = counts.sum(axis=1) > n * n / 2
@@ -175,21 +186,17 @@ def build_ensemble(
     def run(block: tuple[int, int]):
         return _accumulate_block(n, edge_hash, g.eu, g.ev, alpha, block[0], block[1])
 
-    if workers > 1 and len(blocks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks))
-    else:
-        parts = [run(b) for b in blocks]
-
     same = np.zeros((n, n), dtype=np.int64)
     row_out = np.zeros(n, dtype=np.int64)
     rc = 0
     labels = np.empty((R, n), dtype=np.int32)
-    for (lo, hi), (psame, pout, plab, prc) in zip(blocks, parts):
-        same += psame
-        row_out += pout
-        rc += prc
-        labels[lo:hi] = plab
+    # summing each block as map yields it keeps only unsummed blocks in memory
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        for (lo, hi), (psame, pout, plab, prc) in zip(blocks, pool.map(run, blocks)):
+            same += psame
+            row_out += pout
+            rc += prc
+            labels[lo:hi] = plab
 
     counters = same + (rc - row_out[:, None] - row_out[None, :])
     np.fill_diagonal(counters, R)
@@ -240,45 +247,32 @@ def add_edge_incremental(
 def exact_access_oracle(g: Graph, alpha: float, cap: int = ORACLE_EDGE_CAP) -> np.ndarray:
     """Exact p matrix by enumerating all 2^m live-edge subsets.
 
-    Access probability computation is #P-hard in general, so this is gated
-    at m <= cap edges. Exact to floating precision.
+    Bit e of a mask is edge e's coin. Each chunk of masks is labelled like
+    a sample block and adds M^T W M, M holding one one-hot row per component
+    and W each mask's probability alpha^k (1-alpha)^(m-k). Access probability
+    computation is #P-hard in general, so this is gated at m <= cap edges.
+    Exact to floating precision; p is exactly symmetric with a unit diagonal.
     """
     alpha = validate_alpha(alpha)
     m = g.m
     if m > cap:
         raise ValueError(f"exact oracle refuses m={m} > cap={cap} edges")
     n = g.n
-    n_masks = 1 << m
-    live = np.zeros((n_masks, m), dtype=bool)
-    masks = np.arange(n_masks, dtype=np.uint32)
-    for e in range(m):
-        live[:, e] = (masks >> np.uint32(e)) & np.uint32(1) == 1
-    labels = np.tile(np.arange(n, dtype=np.int32), (n_masks, 1))
-    # min-label propagation over live edges until fixpoint
-    eu = g.eu
-    ev = g.ev
-    while True:
-        changed = False
-        for e in range(m):
-            u, v = int(eu[e]), int(ev[e])
-            rows = live[:, e]
-            lu = labels[rows, u]
-            lv = labels[rows, v]
-            mn = np.minimum(lu, lv)
-            if (lu != mn).any() or (lv != mn).any():
-                changed = True
-                labels[rows, u] = mn
-                labels[rows, v] = mn
-        if not changed:
-            break
-    k = live.sum(axis=1)
-    weights = alpha ** k * (1.0 - alpha) ** (m - k)
-    p = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pij = float(weights[labels[:, i] == labels[:, j]].sum())
-            p[i, j] = pij
-            p[j, i] = pij
+    p = np.zeros((n, n))
+    for lo in range(0, 1 << m, _ORACLE_CHUNK):
+        masks = np.arange(lo, min(lo + _ORACLE_CHUNK, 1 << m), dtype=np.int64)
+        live = (masks[:, None] >> np.arange(m)) & 1 == 1
+        k = live.sum(axis=1)
+        weights = alpha ** k * (1.0 - alpha) ** (m - k)
+        n_comp, flat = _label_rows(n, g.eu, g.ev, live)
+        nodes = np.tile(np.arange(n), len(masks))
+        members = csr_matrix((np.ones(len(flat)), (flat, nodes)), shape=(n_comp, n))
+        weighted = csr_matrix((np.repeat(weights, n), (flat, nodes)), shape=(n_comp, n))
+        p += (weighted.T @ members).toarray()
+    # mirror the upper triangle: the product's rounding need not be symmetric
+    p = np.triu(p, k=1)
+    p = p + p.T
+    np.fill_diagonal(p, 1.0)
     return p
 
 
@@ -310,12 +304,14 @@ def stability_check(
 
 
 def write_access_csv(p: np.ndarray, orig_ids: np.ndarray, path: str) -> None:
-    """CSV "i,j,p" over original ids with i<j, 6 decimal digits."""
-    iu, ju = np.triu_indices(len(p), k=1)
+    """CSV "i,j,p" over original ids with i<j, 6 decimal digits, written one
+    row of p at a time so no list of all pairs is held in memory."""
+    ids = orig_ids.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,p\n")
-        for a, b, val in zip(orig_ids[iu].tolist(), orig_ids[ju].tolist(), p[iu, ju].tolist()):
-            fh.write(f"{a},{b},{val:.6f}\n")
+        for i, a in enumerate(ids):
+            row = zip(ids[i + 1 :], p[i, i + 1 :].tolist())
+            fh.writelines(f"{a},{b},{val:.6f}\n" for b, val in row)
 
 
 def save_estimate(est: AccessEstimate, orig_ids: np.ndarray, alpha: float, seed: int, path: str) -> None:

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Deliberately written with different machinery than the library (itertools
-subset enumeration and a plain union-find instead of vectorized min-label
-propagation / sparse connected components), so agreement is meaningful.
+subset enumeration and a plain union-find instead of chunked bit-mask
+enumeration labelled by sparse connected components and counted as a sparse
+product), so agreement is meaningful.
 """
 from itertools import product
 

@@ -77,10 +77,16 @@ def test_no_lcc_keeps_all_components(graph_file, tmp_path):
     out_all = str(tmp_path / "all")
     run("estimate", "--input", str(f), "--R", "50", "--output-dir", out_lcc)
     run("estimate", "--input", str(f), "--R", "50", "--output-dir", out_all, "--no-lcc")
+    cfg = tmp_path / "no_lcc.json"
+    cfg.write_text(json.dumps({"lcc": False}))
+    out_cfg = str(tmp_path / "cfg")
+    run("estimate", "--input", str(f), "--R", "50", "--output-dir", out_cfg, "--config", str(cfg))
     n_lcc = len(open(os.path.join(out_lcc, "access.csv")).readlines()) - 1
     n_all = len(open(os.path.join(out_all, "access.csv")).readlines()) - 1
+    n_cfg = len(open(os.path.join(out_cfg, "access.csv")).readlines()) - 1
     assert n_lcc == 3   # C(3,2)
     assert n_all == 10  # C(5,2)
+    assert n_cfg == 10
 
 
 # --- config handling ------------------------------------------------------
@@ -263,6 +269,14 @@ def test_control_exact_flag(tmp_path):
                "--nodes", "0", "--output-dir", out) == 0
     rows = open(os.path.join(out, "control.csv")).read().splitlines()
     assert rows[1].split(",")[1] == "0.200000"
+    # the same run with exact from a config file writes the same bytes
+    cfg = tmp_path / "exact.json"
+    cfg.write_text(json.dumps({"exact": True}))
+    out_cfg = str(tmp_path / "ct_cfg")
+    assert run("control", "--input", str(f), "--alpha", "0.5", "--config", str(cfg),
+               "--nodes", "0", "--output-dir", out_cfg) == 0
+    assert (open(os.path.join(out_cfg, "control.csv")).read()
+            == open(os.path.join(out, "control.csv")).read())
 
 
 def test_control_unknown_node_exits_2(tmp_path):

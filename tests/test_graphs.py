@@ -41,6 +41,8 @@ def test_parse_error_reports_line_number():
         load_edge_list(b"a b\n")
     with pytest.raises(EdgeListParseError, match="negative"):
         load_edge_list(b"-1 2\n")
+    with pytest.raises(EdgeListParseError, match="^line 2: not valid UTF-8$"):
+        load_edge_list(b"0 1\n1 \xff2\n")
 
 
 def test_empty_input_raises():

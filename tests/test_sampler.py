@@ -6,7 +6,7 @@ from reference import ref_exact_access, ref_pair_counts, random_connected_graph
 
 import netaccess as na
 from netaccess.cli import main as cli_main
-from netaccess.sampler import _accumulate_block, _edge_hashes, _live_rows
+from netaccess.sampler import _ORACLE_CHUNK, _accumulate_block, _edge_hashes, _live_rows
 
 
 def _graph(text: bytes):
@@ -79,8 +79,8 @@ def test_oracle_matches_reference_enumeration():
 def test_oracle_symmetric_unit_diagonal():
     g = _graph(b"0 1\n1 2\n2 3\n")
     p = na.exact_access_oracle(g, 0.3)
-    assert np.allclose(p, p.T)
-    assert np.allclose(np.diag(p), 1.0)
+    assert np.array_equal(p, p.T)
+    assert (np.diag(p) == 1.0).all()
 
 
 def test_oracle_refuses_large_graphs():
@@ -94,6 +94,25 @@ def test_oracle_disconnected_pairs_zero():
     g = _graph(b"0 1\n2 3\n")
     p = na.exact_access_oracle(g, 0.7)
     assert p[0, 2] == 0.0 and p[1, 3] == 0.0
+    # node 2 is isolated (its only line is a dropped self-loop)
+    p = na.exact_access_oracle(_graph(b"0 1\n2 2\n"), 0.7)
+    assert abs(p[0, 1] - 0.7) < 1e-12
+    assert p[0, 2] == 0.0 and p[1, 2] == 0.0
+    # one node, no edges: a single empty coin outcome
+    p = na.exact_access_oracle(_graph(b"3 3\n"), 0.7)
+    assert np.array_equal(p, np.ones((1, 1)))
+
+
+def test_oracle_path_spanning_several_chunks():
+    # 2^16 outcomes are enumerated in several chunks; i and j on a path
+    # share a component iff all |i-j| edges between them are live
+    lines = "".join(f"{i} {i + 1}\n" for i in range(16)).encode()
+    g = _graph(lines)
+    assert (1 << g.m) > 2 * _ORACLE_CHUNK
+    for alpha in (0.3, 0.85):
+        p = na.exact_access_oracle(g, alpha)
+        dist = np.abs(np.subtract.outer(np.arange(17), np.arange(17)))
+        assert np.abs(p - alpha**dist).max() < 1e-12
 
 
 # --- Monte Carlo build ----------------------------------------------------
