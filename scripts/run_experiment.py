@@ -20,9 +20,6 @@ import time
 
 import netaccess as na
 
-_PAIRED_KINDS = ("bc-both", "diam-both")
-
-
 def _cell(est, t0: float) -> dict:
     b = na.broadcast_all(est)
     return {
@@ -52,9 +49,9 @@ def main(argv=None) -> int:
 
     rows = []
     for kind in kinds:
-        kind_budgets = [k for k in budgets if k % 2 == 0 or kind not in _PAIRED_KINDS]
+        kind_budgets = [k for k in budgets if k % 2 == 0 or kind not in na.PAIRED_KINDS]
         # the paired kinds spend two edges of the budget per step
-        step_of = {k: k // 2 if kind in _PAIRED_KINDS else k for k in kind_budgets}
+        step_of = {k: k // 2 if kind in na.PAIRED_KINDS else k for k in kind_budgets}
         steps = set(step_of.values()) | {0}
         cells, current = {}, {}
         t0 = time.perf_counter()

@@ -33,13 +33,13 @@ from .graphs import (
     EmptyInputError,
     Graph,
     IngestStats,
-    graph_diameter_pair,
     largest_connected_component,
     load_edge_list,
     write_edge_list,
 )
 from .heuristics import (
     HEURISTIC_KINDS,
+    PAIRED_KINDS,
     InterventionTrace,
     StepRecord,
     resolve_collision,
@@ -74,6 +74,7 @@ __all__ = [
     "IngestStats",
     "InterventionTrace",
     "ORACLE_EDGE_CAP",
+    "PAIRED_KINDS",
     "SampleEnsemble",
     "StepRecord",
     "access_centrality",
@@ -85,7 +86,6 @@ __all__ = [
     "distribution_summary",
     "exact_access_oracle",
     "gap_report",
-    "graph_diameter_pair",
     "influence_all",
     "largest_connected_component",
     "load_edge_list",

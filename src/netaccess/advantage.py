@@ -66,22 +66,6 @@ class ControlReport:
     raw_sum: float
 
 
-def _without_node(g: Graph, c: int) -> Graph:
-    """Same node set with c's incident edges removed (keeps dense ids, so
-    the remaining edges draw identical coins and estimates stay coupled)."""
-    keep = (g.eu != c) & (g.ev != c)
-    pairs = list(zip(g.eu[keep].tolist(), g.ev[keep].tolist()))
-    return Graph(
-        n=g.n,
-        eu=g.eu[keep],
-        ev=g.ev[keep],
-        orig_ids=g.orig_ids,
-        label_map=g.label_map,
-        edge_set=frozenset(pairs),
-        ingest=g.ingest,
-    )
-
-
 def access_centrality(
     g: Graph,
     alpha: float,
@@ -114,7 +98,7 @@ def access_centrality(
         return build_ensemble(graph, alpha, R, seed, workers=workers)[1].p
 
     p = access(g)
-    return [_control_report(c, p, access(_without_node(g, c))) for c in nodes]
+    return [_control_report(c, p, access(g.without_node_edges(c))) for c in nodes]
 
 
 def _control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> ControlReport:
@@ -148,25 +132,11 @@ def advantage_report(est: AccessEstimate) -> AdvantageReport:
     return AdvantageReport(broadcast=broadcast_all(est), influence=influence_all(est))
 
 
-def write_advantage_csv(
-    report: AdvantageReport,
-    orig_ids: np.ndarray,
-    path: str,
-    control: dict[int, ControlReport] | None = None,
-) -> None:
-    """CSV "node,broadcast,influence[,cent_star,max_pair_control]"."""
-    with_control = control is not None
+def write_advantage_csv(report: AdvantageReport, orig_ids: np.ndarray, path: str) -> None:
+    """CSV "node,broadcast,influence"."""
     with open(path, "w", encoding="utf-8") as fh:
-        if with_control:
-            fh.write("node,broadcast,influence,cent_star,max_pair_control\n")
-        else:
-            fh.write("node,broadcast,influence\n")
+        fh.write("node,broadcast,influence\n")
         for d in range(len(orig_ids)):
-            base = (
-                f"{int(orig_ids[d])},{report.broadcast[d]:.6f},{report.influence[d]:.6f}"
+            fh.write(
+                f"{int(orig_ids[d])},{report.broadcast[d]:.6f},{report.influence[d]:.6f}\n"
             )
-            if with_control:
-                rep = control[d]
-                fh.write(f"{base},{rep.cent_star:.6f},{rep.max_pair_control:.6f}\n")
-            else:
-                fh.write(base + "\n")

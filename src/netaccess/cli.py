@@ -22,7 +22,7 @@ from . import __version__
 from .advantage import access_centrality, advantage_report, write_advantage_csv
 from .evaluation import metrics_bundle
 from .graphs import Graph, largest_connected_component, load_edge_list, write_edge_list
-from .heuristics import HEURISTIC_KINDS, run_augmentation, write_trace_csv
+from .heuristics import HEURISTIC_KINDS, PAIRED_KINDS, run_augmentation, write_trace_csv
 from .sampler import (
     ORACLE_EDGE_CAP,
     AccessEstimate,
@@ -81,7 +81,7 @@ class RunConfig:
             raise ConfigError(
                 "heuristic", f"unknown kind {self.heuristic!r}; choose from {HEURISTIC_KINDS}"
             )
-        if self.heuristic in ("bc-both", "diam-both") and self.k % 2 != 0:
+        if self.heuristic in PAIRED_KINDS and self.k % 2 != 0:
             raise ConfigError("k", f"{self.heuristic} needs an even budget, got {self.k}")
         if self.eval_every < 1:
             raise ConfigError("eval_every", f"must be at least 1, got {self.eval_every}")

@@ -1,5 +1,7 @@
 """Undirected simple graphs: edge-list ingestion, LCC extraction, BFS utilities.
 
+A ``Graph`` stores its edges once, as the canonical dense arrays ``eu``/``ev``;
+the edge set and the original-id lookup are derived from them on first use.
 Node ids are relabeled densely (0..n-1) at load time, in sorted original-id
 order, so lexicographic tie-breaks on dense ids and on original ids coincide.
 All user-facing output maps back through ``orig_ids``.
@@ -7,13 +9,16 @@ All user-facing output maps back through ``orig_ids``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 logger = logging.getLogger(__name__)
+
+_MAX_NODE_ID = 2**63 - 1
 
 
 class EdgeListParseError(ValueError):
@@ -32,40 +37,46 @@ class IngestStats:
     self_loops: int = 0
 
 
+def _canonical_edges(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical edge arrays from dense endpoints (no self-loops): each edge
+    as (min, max), sorted lexicographically, duplicates removed."""
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return keys // n, keys % n
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph over dense node ids 0..n-1.
 
     ``eu``/``ev`` hold the canonical edge list (eu[i] < ev[i], sorted
-    lexicographically). ``orig_ids[d]`` is the original id of dense node d;
-    ``label_map`` is the inverse (original id -> dense id).
+    lexicographically, no duplicates) and are the only copy of the edges.
+    ``orig_ids[d]`` is the original id of dense node d, in increasing order.
+    ``edge_set`` and ``label_map`` (original id -> dense id) are derived
+    from those arrays on first use.
     """
 
     n: int
     eu: np.ndarray
     ev: np.ndarray
     orig_ids: np.ndarray
-    label_map: dict[int, int] = field(repr=False)
-    edge_set: frozenset[tuple[int, int]] = field(repr=False)
     ingest: IngestStats = field(default_factory=IngestStats, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.eu)
 
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(self.eu.tolist(), self.ev.tolist()))
+
+    @cached_property
+    def label_map(self) -> dict[int, int]:
+        return {o: d for d, o in enumerate(self.orig_ids.tolist())}
+
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
         return (u, v) in self.edge_set
-
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbor ids of u."""
-        out = np.concatenate([self.ev[self.eu == u], self.eu[self.ev == u]])
-        out.sort()
-        return out
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate([self.eu, self.ev]), minlength=self.n)
 
     def adjacency(self) -> csr_matrix:
         ones = np.ones(2 * self.m, dtype=np.int8)
@@ -78,48 +89,29 @@ class Graph:
 
     def with_edges(self, new_edges: list[tuple[int, int]]) -> "Graph":
         """Copy of this graph with extra edges (dense ids, must be absent)."""
-        extra = []
+        extra: set[tuple[int, int]] = set()
         for u, v in new_edges:
             if u > v:
                 u, v = v, u
+            if u < 0 or v >= self.n:
+                raise ValueError(f"edge ({u},{v}) out of range for {self.n} nodes")
             if u == v:
                 raise ValueError(f"self-loop ({u},{v})")
             if (u, v) in self.edge_set or (u, v) in extra:
                 raise ValueError(f"edge ({u},{v}) already present")
-            extra.append((u, v))
-        allp = sorted(self.edge_set | set(extra))
-        eu = np.array([e[0] for e in allp], dtype=np.int64)
-        ev = np.array([e[1] for e in allp], dtype=np.int64)
-        return Graph(
-            n=self.n,
-            eu=eu,
-            ev=ev,
-            orig_ids=self.orig_ids,
-            label_map=self.label_map,
-            edge_set=frozenset(allp),
-            ingest=self.ingest,
+            extra.add((u, v))
+        new = np.array(list(extra), dtype=np.int64).reshape(-1, 2)
+        eu, ev = _canonical_edges(
+            self.n, np.concatenate([self.eu, new[:, 0]]), np.concatenate([self.ev, new[:, 1]])
         )
+        return replace(self, eu=eu, ev=ev)
 
-
-def _graph_from_pairs(
-    pairs: list[tuple[int, int]], node_ids: list[int], ingest: IngestStats
-) -> Graph:
-    orig = np.array(sorted(set(node_ids)), dtype=np.int64)
-    label_map = {int(o): d for d, o in enumerate(orig)}
-    dense = sorted(
-        {(min(label_map[a], label_map[b]), max(label_map[a], label_map[b])) for a, b in pairs}
-    )
-    eu = np.array([e[0] for e in dense], dtype=np.int64)
-    ev = np.array([e[1] for e in dense], dtype=np.int64)
-    return Graph(
-        n=len(orig),
-        eu=eu,
-        ev=ev,
-        orig_ids=orig,
-        label_map=label_map,
-        edge_set=frozenset(dense),
-        ingest=ingest,
-    )
+    def without_node_edges(self, c: int) -> "Graph":
+        """Same node set with c's incident edges removed. Dense ids are kept,
+        so the remaining edges draw identical coins and estimates on the two
+        graphs stay coupled."""
+        keep = (self.eu != c) & (self.ev != c)
+        return replace(self, eu=self.eu[keep], ev=self.ev[keep])
 
 
 def load_edge_list(source) -> Graph:
@@ -127,12 +119,14 @@ def load_edge_list(source) -> Graph:
 
     ``source`` is bytes, a str holding the content (it has a newline), or
     a path: an ``os.PathLike`` or a str without a newline (a missing file
-    raises FileNotFoundError). One edge per line: two integer tokens
-    separated by whitespace; lines starting with '#' are comments.
-    Duplicate, reverse-duplicate, and self-loop lines are dropped with a
-    counted warning (their node ids still count as nodes). Raises
-    EdgeListParseError with a line number on malformed tokens or bytes
-    that are not UTF-8, and EmptyInputError when no nodes are found.
+    raises FileNotFoundError). The content is UTF-8, optionally led by a
+    byte-order mark. One edge per line: two integer tokens separated by
+    whitespace; lines starting with '#' are comments. Duplicate,
+    reverse-duplicate, and self-loop lines are dropped with a counted
+    warning (their node ids still count as nodes). Raises
+    EdgeListParseError with a line number on malformed tokens, node ids
+    that are negative or do not fit 64 bits, and bytes that are not UTF-8;
+    raises EmptyInputError when no nodes are found.
     """
     if isinstance(source, str) and "\n" in source:
         text = source
@@ -146,12 +140,9 @@ def load_edge_list(source) -> Graph:
             # the decoded prefix plus one character ends on the bad byte's line
             lineno = len((source[: exc.start].decode("utf-8") + "|").splitlines())
             raise EdgeListParseError(f"line {lineno}: not valid UTF-8") from None
+    text = text.removeprefix("\ufeff")
 
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    node_ids: list[int] = []
-    dup = 0
-    loops = 0
+    ends: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -165,25 +156,26 @@ def load_edge_list(source) -> Graph:
             raise EdgeListParseError(f"line {lineno}: non-integer token") from exc
         if a < 0 or b < 0:
             raise EdgeListParseError(f"line {lineno}: negative node id")
-        node_ids.append(a)
-        node_ids.append(b)
-        if a == b:
-            loops += 1
-            continue
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            dup += 1
-            continue
-        seen.add(key)
-        pairs.append(key)
+        if a > _MAX_NODE_ID or b > _MAX_NODE_ID:
+            raise EdgeListParseError(f"line {lineno}: node id does not fit 64 bits")
+        ends.append(a)
+        ends.append(b)
 
-    if not node_ids:
+    if not ends:
         raise EmptyInputError("edge list contains no nodes")
-    if dup or loops:
+    lines = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    orig = np.unique(lines)
+    loop = lines[:, 0] == lines[:, 1]
+    dense = np.searchsorted(orig, lines[~loop])
+    eu, ev = _canonical_edges(len(orig), dense[:, 0], dense[:, 1])
+    ingest = IngestStats(duplicates=len(dense) - len(eu), self_loops=int(loop.sum()))
+    if ingest.duplicates or ingest.self_loops:
         logger.warning(
-            "dropped %d duplicate and %d self-loop line(s) during ingestion", dup, loops
+            "dropped %d duplicate and %d self-loop line(s) during ingestion",
+            ingest.duplicates,
+            ingest.self_loops,
         )
-    return _graph_from_pairs(pairs, node_ids, IngestStats(duplicates=dup, self_loops=loops))
+    return Graph(n=len(orig), eu=eu, ev=ev, orig_ids=orig, ingest=ingest)
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -191,30 +183,28 @@ def largest_connected_component(g: Graph) -> Graph:
 
     Size ties go to the component containing the smallest original id,
     which is the component of the smallest dense id by the ordering
-    invariant.
+    invariant. The relabel keeps dense order, so the kept edges stay
+    canonical.
     """
     if g.n == 0:
         raise EmptyInputError("empty graph")
     ncomp, labels = connected_components(g.adjacency(), directed=False)
     if ncomp == 1:
         return g
-    sizes = np.bincount(labels, minlength=ncomp)
-    # size ties: the component whose smallest member has the smallest dense
-    # id wins; dense order equals original-id order by construction
-    first_member = np.full(ncomp, g.n, dtype=np.int64)
-    for node in range(g.n - 1, -1, -1):
-        first_member[labels[node]] = node
-    best = min(range(ncomp), key=lambda c: (-int(sizes[c]), int(first_member[c])))
-    keep = np.flatnonzero(labels == best)
-    keep_set = set(keep.tolist())
-    old_orig = g.orig_ids
-    sub_pairs = [
-        (int(old_orig[u]), int(old_orig[v]))
-        for u, v in zip(g.eu.tolist(), g.ev.tolist())
-        if u in keep_set and v in keep_set
-    ]
-    sub_nodes = [int(old_orig[u]) for u in keep]
-    return _graph_from_pairs(sub_pairs, sub_nodes, g.ingest)
+    sizes = np.bincount(labels)
+    # the first node lying in a largest component is the smallest member of
+    # the winning component
+    inside = labels == labels[np.argmax(sizes[labels] == sizes.max())]
+    # an edge never spans two components, so one endpoint decides
+    keep = inside[g.eu]
+    dense = np.cumsum(inside) - 1
+    return Graph(
+        n=int(inside.sum()),
+        eu=dense[g.eu[keep]],
+        ev=dense[g.ev[keep]],
+        orig_ids=g.orig_ids[inside],
+        ingest=g.ingest,
+    )
 
 
 def farthest_pair(g: Graph) -> tuple[int, int, float]:
@@ -229,15 +219,6 @@ def farthest_pair(g: Graph) -> tuple[int, int, float]:
     if u > v:
         u, v = v, u
     return u, v, float(d[u, v])
-
-
-def graph_diameter_pair(g: Graph) -> tuple[int, int, int]:
-    """``farthest_pair`` with an integer distance. Raises on disconnected
-    input (take the LCC first)."""
-    u, v, d = farthest_pair(g)
-    if np.isinf(d):
-        raise ValueError("graph is disconnected; take the largest connected component first")
-    return u, v, int(d)
 
 
 def write_edge_list(g: Graph, path: str) -> None:

@@ -42,7 +42,8 @@ HEURISTIC_KINDS = (
     "diam-both",
 )
 _CENTER_KINDS = {"bc-one", "bc-both", "infl", "diam-both"}
-_PAIRED_KINDS = {"bc-both", "diam-both"}
+# kinds that add two edges per step and so need an even budget
+PAIRED_KINDS = ("bc-both", "diam-both")
 
 
 @dataclass
@@ -153,7 +154,7 @@ def run_augmentation(
         raise ValueError(f"unknown heuristic kind {kind!r}")
     if k < 0:
         raise ValueError(f"budget k must be non-negative, got {k}")
-    if kind in _PAIRED_KINDS and k % 2 != 0:
+    if kind in PAIRED_KINDS and k % 2 != 0:
         raise ValueError(f"{kind} adds edges in pairs and needs an even budget, got k={k}")
     if g.is_complete():
         raise ValueError("graph is already complete")
@@ -173,7 +174,7 @@ def run_augmentation(
         seed=seed,
         center=center if kind in _CENTER_KINDS else None,
     )
-    n_steps = k // 2 if kind in _PAIRED_KINDS else k
+    n_steps = k // 2 if kind in PAIRED_KINDS else k
     n_pairs = g.n * (g.n - 1) // 2
     added_total = 0
     if on_step is not None:

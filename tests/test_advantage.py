@@ -174,13 +174,3 @@ def test_advantage_csv_without_control(tmp_path):
     assert len(lines) == 4
     assert lines[1].startswith("4,")
 
-
-def test_advantage_csv_with_control(tmp_path):
-    g = na.load_edge_list(b"0 1\n1 2\n")
-    _, est = na.build_ensemble(g, 0.5, 100, 0)
-    control = dict(enumerate(na.access_centrality(g, 0.5, [0, 1, 2], exact=True)))
-    out = tmp_path / "adv.csv"
-    na.write_advantage_csv(na.advantage_report(est), g.orig_ids, str(out), control=control)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "node,broadcast,influence,cent_star,max_pair_control"
-    assert lines[2].endswith("1.000000,1.000000")  # the middle node

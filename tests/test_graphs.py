@@ -4,7 +4,6 @@ import pytest
 from netaccess import (
     EdgeListParseError,
     EmptyInputError,
-    graph_diameter_pair,
     largest_connected_component,
     load_edge_list,
     write_edge_list,
@@ -43,6 +42,8 @@ def test_parse_error_reports_line_number():
         load_edge_list(b"-1 2\n")
     with pytest.raises(EdgeListParseError, match="^line 2: not valid UTF-8$"):
         load_edge_list(b"0 1\n1 \xff2\n")
+    with pytest.raises(EdgeListParseError, match="^line 2: node id does not fit 64 bits$"):
+        load_edge_list(b"0 1\n1 99999999999999999999\n")
 
 
 def test_empty_input_raises():
@@ -56,7 +57,8 @@ def test_path_and_bytes_and_str_sources(tmp_path):
     content = "0 1\n1 2\n"
     f = tmp_path / "g.edges"
     f.write_text(content)
-    for src in (f, str(f), content.encode(), content * 200):
+    bom = "\ufeff" + content
+    for src in (f, str(f), content.encode(), content * 200, bom, bom.encode()):
         g = load_edge_list(src)
         assert (g.n, g.m) == (3, 2)
 
@@ -72,13 +74,6 @@ def test_original_ids_preserved_and_dense_order_sorted():
     assert g.label_map == {10: 0, 20: 1, 30: 2}
     # dense edges relabeled: (10,20)->(0,1), (10,30)->(0,2)
     assert set(zip(g.eu.tolist(), g.ev.tolist())) == {(0, 1), (0, 2)}
-
-
-def test_degrees_and_neighbors():
-    g = load_edge_list(b"0 1\n0 2\n0 3\n")
-    assert g.degrees().tolist() == [3, 1, 1, 1]
-    assert g.neighbors(0).tolist() == [1, 2, 3]
-    assert g.neighbors(2).tolist() == [0]
 
 
 def test_has_edge_symmetric():
@@ -103,6 +98,10 @@ def test_with_edges_adds_and_validates():
         g.with_edges([(1, 1)])
     with pytest.raises(ValueError):
         g.with_edges([(0, 2), (2, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        g.with_edges([(0, 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        g.with_edges([(-1, 2)])
 
 
 def test_lcc_keeps_largest():
@@ -135,19 +134,13 @@ def test_lcc_isolated_self_loop_node_dropped():
 
 def test_diameter_pair_path():
     g = load_edge_list(b"0 1\n1 2\n2 3\n")
-    assert graph_diameter_pair(g) == (0, 3, 3)
+    assert farthest_pair(g) == (0, 3, 3.0)
 
 
 def test_diameter_pair_tie_lexicographic():
     # C4: all opposite pairs at distance 2; (0,2) is the smallest
     g = load_edge_list(b"0 1\n1 2\n2 3\n0 3\n")
-    assert graph_diameter_pair(g) == (0, 2, 2)
-
-
-def test_diameter_pair_disconnected_raises():
-    g = load_edge_list(b"0 1\n2 3\n")
-    with pytest.raises(ValueError, match="disconnected"):
-        graph_diameter_pair(g)
+    assert farthest_pair(g) == (0, 2, 2.0)
 
 
 def test_farthest_pair_disconnected_is_first_unreachable_pair():

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -161,3 +162,96 @@ def test_gap_report_consistent(values):
     assert abs(rep.absolute - (arr.max() - arr.min())) < 1e-12
     assert rep.absolute >= 0
     assert arr[rep.argmin] == arr.min() and arr[rep.argmax] == arr.max()
+
+
+# --- graph layer against networkx ------------------------------------------
+
+
+@st.composite
+def edge_lines(draw):
+    """Edge-list lines over a few sparse ids up to 2**63 - 1, so duplicate,
+    reversed-duplicate and self-loop lines (some on otherwise isolated ids)
+    all occur."""
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=7, unique=True))
+    pick = st.sampled_from(ids)
+    return draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=14))
+
+
+def _text(lines) -> bytes:
+    return "".join(f"{a} {b}\n" for a, b in lines).encode()
+
+
+def _nx_graph(lines) -> nx.Graph:
+    G = nx.Graph()
+    G.add_nodes_from(x for line in lines for x in line)
+    G.add_edges_from((a, b) for a, b in lines if a != b)
+    return G
+
+
+def _edges(G: nx.Graph) -> set:
+    return {tuple(sorted(e)) for e in G.edges}
+
+
+def _orig_edges(g) -> set:
+    o = g.orig_ids.tolist()
+    return {(o[u], o[v]) for u, v in zip(g.eu.tolist(), g.ev.tolist())}
+
+
+def _assert_canonical(g):
+    assert np.all(np.diff(g.orig_ids) > 0)
+    assert np.all(g.eu < g.ev)
+    assert np.all(np.diff(g.eu * g.n + g.ev) > 0)
+    # the derived views agree with the arrays they come from
+    assert g.edge_set == set(zip(g.eu.tolist(), g.ev.tolist()))
+    assert g.label_map == {o: d for d, o in enumerate(g.orig_ids.tolist())}
+
+
+# a size tie needs two largest components; 300 examples reliably include one
+@settings(max_examples=300)
+@given(edge_lines())
+def test_load_and_lcc_match_networkx(lines):
+    g = na.load_edge_list(_text(lines))
+    G = _nx_graph(lines)
+    _assert_canonical(g)
+    assert g.orig_ids.tolist() == sorted(G)
+    assert _orig_edges(g) == _edges(G)
+    assert g.ingest.self_loops == sum(a == b for a, b in lines)
+    assert g.ingest.duplicates == sum(a != b for a, b in lines) - G.number_of_edges()
+
+    sub = na.largest_connected_component(g)
+    _assert_canonical(sub)
+    # size ties go to the component holding the smallest original id
+    best = min(nx.connected_components(G), key=lambda comp: (-len(comp), min(comp)))
+    assert sub.orig_ids.tolist() == sorted(best)
+    assert _orig_edges(sub) == _edges(G.subgraph(best))
+    assert sub.ingest == g.ingest
+
+
+@given(edge_lines(), st.data())
+def test_with_edges_equals_reload_with_added_lines(lines, data):
+    g = na.load_edge_list(_text(lines))
+    absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    assume(absent)
+    new = data.draw(st.lists(st.sampled_from(absent), min_size=1, unique=True))
+    new = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in new]
+    o = g.orig_ids.tolist()
+    g2 = g.with_edges(new)
+    reloaded = na.load_edge_list(_text(lines + [(o[u], o[v]) for u, v in new]))
+    _assert_canonical(g2)
+    assert (g2.n, g2.ingest) == (reloaded.n, reloaded.ingest)
+    for name in ("eu", "ev", "orig_ids"):
+        assert np.array_equal(getattr(g2, name), getattr(reloaded, name))
+
+
+@given(edge_lines(), st.data())
+def test_without_node_edges_matches_networkx(lines, data):
+    g = na.load_edge_list(_text(lines))
+    c = data.draw(st.integers(0, g.n - 1))
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edge_set)  # caches g's edge set before the copy
+    G.remove_edges_from(list(G.edges(c)))
+    h = g.without_node_edges(c)
+    _assert_canonical(h)
+    assert h.n == g.n and np.array_equal(h.orig_ids, g.orig_ids)
+    assert h.edge_set == _edges(G)
