@@ -144,8 +144,11 @@ def metrics_bundle(
     w, pair = welfare(est)
     gb = gap_report(b, "broadcast")
     gi = gap_report(infl, "influence")
-    iu, ju = np.triu_indices(est.n, k=1)
-    access_values = est.counters[iu, ju] / float(est.R)
+    # one expression, so the all-pairs index and value arrays are freed
+    # before the signature distances allocate theirs
+    access_summary = asdict(
+        distribution_summary(est.counters[np.triu_indices(est.n, k=1)] / float(est.R))
+    )
     sig_summary, sig_pair, sig_max = signature_distances(
         est, metric=signature_metric, sample_pairs=sample_pairs, seed=seed
     )
@@ -168,7 +171,7 @@ def metrics_bundle(
         "min_broadcast": float(b.min()),
         "min_influence": float(infl.min()),
         "gaps": {"broadcast": gap_dict(gb), "influence": gap_dict(gi)},
-        "access_distribution": asdict(distribution_summary(access_values)),
+        "access_distribution": access_summary,
         "signature_distance": {
             "metric": signature_metric,
             "sampled_pairs": sample_pairs,

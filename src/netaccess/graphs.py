@@ -207,18 +207,46 @@ def largest_connected_component(g: Graph) -> Graph:
     )
 
 
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs hop counts as an n x n int32 matrix (one BFS per node).
+
+    Unreachable pairs hold the sentinel n: every finite distance is at most
+    n-1, so the sentinel is the maximum, just as inf would be.
+    """
+    d = shortest_path(g.adjacency(), method="D", directed=False, unweighted=True)
+    return np.minimum(d, g.n, out=d).astype(np.int32)
+
+
+def add_edge_distances(dist: np.ndarray, u: int, v: int) -> None:
+    """Update a ``distance_matrix`` in place for a newly inserted edge (u, v).
+
+    A new shortest path that uses the edge runs i..u-v..j or i..v-u..j, so
+    D = min(D, D[:,u]+1+D[v,:], D[:,v]+1+D[u,:]), every term read from D
+    before the insertion. D is symmetric, so the second term is the
+    transpose of the first. A sum with a sentinel term is at least n+1 and
+    never replaces an entry, so unreachable pairs keep the sentinel.
+    """
+    via = dist[:, u, None] + dist[None, v, :]
+    via += 1
+    np.minimum(dist, via, out=dist)
+    np.minimum(dist, via.T, out=dist)
+
+
+def argmax_pair(dist: np.ndarray) -> tuple[int, int]:
+    """First maximum of a symmetric matrix in row-major order: the
+    lexicographically smallest maximizing (u, v), with u <= v."""
+    u, v = divmod(int(np.argmax(dist)), dist.shape[1])
+    return u, v
+
+
 def farthest_pair(g: Graph) -> tuple[int, int, float]:
     """BFS from every node; return (u, v, d) attaining the maximum
     shortest-path distance, lexicographically smallest pair on ties. On
     disconnected input d is inf and (u, v) the first unreachable pair."""
-    d = shortest_path(g.adjacency(), method="D", directed=False, unweighted=True)
-    # row-major argmax of a symmetric matrix gives the lexicographically
-    # smallest maximizing (u, v) with u < v
-    flat = int(np.argmax(d))
-    u, v = divmod(flat, g.n)
-    if u > v:
-        u, v = v, u
-    return u, v, float(d[u, v])
+    dist = distance_matrix(g)
+    u, v = argmax_pair(dist)
+    d = int(dist[u, v])
+    return u, v, float(d) if d < g.n else np.inf
 
 
 def write_edge_list(g: Graph, path: str) -> None:

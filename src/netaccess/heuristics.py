@@ -11,7 +11,7 @@ Strategy catalog (selection rule per step):
   bc-one      the worse-off endpoint of that pair is wired to the center
   bc-both     both endpoints wired to the center (2 edges per step)
   infl        the node with minimum influence is wired to the center
-  diam-chord  edge between a pair at maximum BFS distance
+  diam-chord  edge between a pair at maximum hop distance
   diam-both   both endpoints of that pair wired to the center (2 edges)
 
 The center is the node with maximum broadcast in the initial estimate and
@@ -20,6 +20,11 @@ or a self-loop) are resolved by two rules: center-targeting strategies walk
 down the initial-broadcast order until a non-neighbor is found (recording a
 skipped step if none exists); chord and random strategies redraw one
 endpoint, chosen by the seeded stream, until the edge is legal.
+
+The diameter kinds run one all-pairs BFS per run and then update its
+hop-distance matrix in place, O(n^2) per added edge; the pair is the
+matrix's row-major argmax (on disconnected input, the first unreachable
+pair).
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .advantage import broadcast_all, influence_all, welfare
-from .graphs import Graph, farthest_pair
+from .graphs import Graph, add_edge_distances, argmax_pair, distance_matrix
 from .sampler import AccessEstimate, add_edge_incremental, build_ensemble
 
 HEURISTIC_KINDS = (
@@ -44,6 +49,7 @@ HEURISTIC_KINDS = (
 _CENTER_KINDS = {"bc-one", "bc-both", "infl", "diam-both"}
 # kinds that add two edges per step and so need an even budget
 PAIRED_KINDS = ("bc-both", "diam-both")
+_DIAMETER_KINDS = {"diam-chord", "diam-both"}
 
 
 @dataclass
@@ -122,9 +128,8 @@ def _min_pair_candidate(est: AccessEstimate) -> tuple[int, int]:
     return welfare(est)[1]
 
 
-def _diameter_pair(g: Graph) -> tuple[int, int]:
-    u, v, _ = farthest_pair(g)
-    return u, v
+def _diameter_pair(dist: np.ndarray) -> tuple[int, int]:
+    return argmax_pair(dist)
 
 
 def _current_broadcast(est: AccessEstimate) -> np.ndarray:
@@ -144,8 +149,10 @@ def run_augmentation(
     """Run one strategy for budget k and return (trace, augmented graph).
 
     The ensemble is built once (O(R m)) and every added edge costs O(R n)
-    via incremental update. The whole trace is a deterministic function of
-    (graph, kind, k, alpha, R, seed), independent of worker count.
+    via incremental update. The diameter kinds also run one all-pairs BFS
+    per run and update its distance matrix in O(n^2) per added edge. The
+    whole trace is a deterministic function of (graph, kind, k, alpha, R,
+    seed), independent of worker count.
     ``on_step`` is called with (steps done, total edges added, current
     estimate): once before the first step with (0, 0, initial estimate),
     then after each recorded step. The estimate is updated in place.
@@ -160,6 +167,8 @@ def run_augmentation(
         raise ValueError("graph is already complete")
 
     ens, est = build_ensemble(g, alpha, R, seed, workers=workers)
+    # hop distances of the current graph, kept exact edge by edge
+    dist = distance_matrix(g) if kind in _DIAMETER_KINDS else None
     b0 = broadcast_all(est)
     center = select_center(est)
     # initial-broadcast order, descending, ties to the lower id; frozen
@@ -203,9 +212,9 @@ def run_augmentation(
             u = int(np.argmin(influence_all(est)))
             raw = [(u, center)]
         elif kind == "diam-chord":
-            raw = [_diameter_pair(g.with_edges(trace.edges_added))]
+            raw = [_diameter_pair(dist)]
         else:  # diam-both
-            i, j = _diameter_pair(g.with_edges(trace.edges_added))
+            i, j = _diameter_pair(dist)
             raw = [(i, center), (j, center)]
 
         for cand in raw:
@@ -218,6 +227,8 @@ def run_augmentation(
                 events.append(f"skipped: node {cand[0]} adjacent to all candidates")
                 continue
             add_edge_incremental(ens, est, resolved)
+            if dist is not None:
+                add_edge_distances(dist, *resolved)
             added_now.append(resolved)
             added_total += 1
 

@@ -8,7 +8,7 @@ from netaccess import (
     load_edge_list,
     write_edge_list,
 )
-from netaccess.graphs import farthest_pair
+from netaccess.graphs import distance_matrix, farthest_pair
 
 
 def test_basic_parse():
@@ -147,6 +147,8 @@ def test_farthest_pair_disconnected_is_first_unreachable_pair():
     # the augmentation heuristics join such a pair first
     g = load_edge_list(b"0 1\n1 2\n3 4\n")
     assert farthest_pair(g) == (0, 3, np.inf)
+    # the distance matrix marks unreachable pairs with the sentinel n
+    assert distance_matrix(g)[0].tolist() == [0, 1, 2, 5, 5]
 
 
 def test_write_then_load_round_trip(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import netaccess as na
 from netaccess import AccessEstimate
+from netaccess.graphs import farthest_pair
 from netaccess.heuristics import resolve_collision
 
 PATH6 = b"0 1\n1 2\n2 3\n3 4\n4 5\n"
@@ -120,6 +121,43 @@ def test_diam_chord_first_edge_joins_diameter_pair():
     g = na.load_edge_list(PATH6)
     trace, _ = na.run_augmentation(g, "diam-chord", 1, 0.5, 500, 0)
     assert _canon(trace.steps[0].edges) == {(0, 5)}
+
+
+DIAMETER_FIXTURES = {
+    "tree": b"0 1\n0 2\n1 3\n1 4\n2 5\n5 6\n",
+    "cycle": b"0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n0 7\n",
+    # two components and an isolated node, as `--no-lcc` keeps them
+    "disconnected": b"0 1\n1 2\n3 4\n4 5\n5 6\n7 7\n",
+}
+
+
+@pytest.mark.parametrize("text", DIAMETER_FIXTURES.values(), ids=DIAMETER_FIXTURES.keys())
+def test_diameter_steps_take_the_recomputed_farthest_pair(text):
+    g = na.load_edge_list(text)
+    alpha, R, seed = 0.5, 300, 0
+    trace, _ = na.run_augmentation(g, "diam-chord", 5, alpha, R, seed)
+    added = []
+    for rec in trace.steps:
+        assert rec.edges == [farthest_pair(g.with_edges(added))[:2]]
+        added += rec.edges
+
+    _, est = na.build_ensemble(g, alpha, R, seed)
+    order = np.lexsort((np.arange(g.n), -na.broadcast_all(est)))
+    trace, _ = na.run_augmentation(g, "diam-both", 6, alpha, R, seed)
+    c = trace.center
+    added = []
+    for rec in trace.steps:
+        expect = []
+        for x in farthest_pair(g.with_edges(added))[:2]:
+            edges = g.with_edges(added + expect).edge_set
+            e = (min(x, c), max(x, c))
+            if x == c or e in edges:
+                e = resolve_collision("diam-both", (x, c), g.n, edges, order, None)
+            if e is not None:
+                expect.append(e)
+        assert rec.edges == expect
+        added += rec.edges
+    assert len(added) == 6
 
 
 def test_bc_both_step_connects_both_endpoints_to_center():

@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import shortest_path
 
 import netaccess as na
 from netaccess import AccessEstimate
+from netaccess.graphs import add_edge_distances, argmax_pair, distance_matrix, farthest_pair
 from netaccess.sampler import _edge_hashes, _live_rows
 
 settings.register_profile("suite", deadline=None, max_examples=30)
@@ -255,3 +256,25 @@ def test_without_node_edges_matches_networkx(lines, data):
     _assert_canonical(h)
     assert h.n == g.n and np.array_equal(h.orig_ids, g.orig_ids)
     assert h.edge_set == _edges(G)
+
+
+@given(edge_lines(), st.data())
+def test_distance_update_equals_recomputation(lines, data):
+    # starts include disconnected graphs and isolated (self-loop-only) nodes
+    g = na.load_edge_list(_text(lines))
+    absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    assume(absent)
+    new = data.draw(st.lists(st.sampled_from(absent), min_size=1, unique=True))
+    dist = distance_matrix(g)
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edge_set)
+    hops = dict(nx.all_pairs_shortest_path_length(G))
+    assert dist.tolist() == [[hops[i].get(j, g.n) for j in range(g.n)] for i in range(g.n)]
+    for t, (u, v) in enumerate(new):
+        if data.draw(st.booleans()):
+            u, v = v, u
+        add_edge_distances(dist, u, v)
+        h = g.with_edges(new[: t + 1])
+        assert np.array_equal(dist, distance_matrix(h))
+        assert argmax_pair(dist) == farthest_pair(h)[:2]
