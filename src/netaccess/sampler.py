@@ -305,14 +305,23 @@ def stability_check(
 
 
 def write_access_csv(p: np.ndarray, orig_ids: np.ndarray, path: str) -> None:
-    """CSV "i,j,p" over original ids with i<j, 6 decimal digits, written one
-    row of p at a time so no list of all pairs is held in memory."""
+    """CSV "i,j,p" over original ids with i<j, each value exactly f"{p:.6f}".
+
+    Each distinct float64 bit pattern of p (at most R+1 for an estimate) is
+    formatted once; keying on bits, not values, keeps -0.0 apart from 0.0.
+    Rows are written one at a time and looked up in that table by
+    searchsorted, so no all-pairs index or string list is held in memory."""
+    bits = np.ascontiguousarray(p, dtype=np.float64).view(np.uint64)
+    keys = np.unique(bits)
+    table = [f"{v:.6f}\n" for v in keys.view(np.float64).tolist()]
     ids = orig_ids.tolist()
+    heads = [f"{b}," for b in ids]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,p\n")
         for i, a in enumerate(ids):
-            row = zip(ids[i + 1 :], p[i, i + 1 :].tolist())
-            fh.writelines(f"{a},{b},{val:.6f}\n" for b, val in row)
+            lead = f"{a},"
+            idx = np.searchsorted(keys, bits[i, i + 1 :]).tolist()
+            fh.write("".join([lead + h + table[k] for h, k in zip(heads[i + 1 :], idx)]))
 
 
 def save_estimate(est: AccessEstimate, orig_ids: np.ndarray, alpha: float, seed: int, path: str) -> None:
@@ -335,7 +344,7 @@ def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
     """Read a binary dump; returns (estimate, orig_ids, alpha, seed).
 
     Raises ValueError naming the problem on a bad magic or header field, a
-    truncated file, or trailing bytes."""
+    truncated file, trailing bytes, or a repeated original id."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != ESTIMATE_MAGIC:
@@ -360,6 +369,11 @@ def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
             f"estimate file has {len(data) - expected} trailing bytes after {expected}"
         )
     orig_ids = np.frombuffer(data, dtype="<u4", count=n, offset=32).astype(np.int64)
+    seen = set()
+    for v in orig_ids.tolist():
+        if v in seen:
+            raise ValueError(f"estimate file repeats original id {v}")
+        seen.add(v)
     tri = np.frombuffer(data, dtype="<u4", count=n_pairs, offset=32 + 4 * n).astype(np.int32)
     counters = np.zeros((n, n), dtype=np.int32)
     iu, ju = np.triu_indices(n, k=1)

@@ -3,7 +3,9 @@
 Deliberately written with different machinery than the library (itertools
 subset enumeration and a plain union-find instead of chunked bit-mask
 enumeration labelled by sparse connected components and counted as a sparse
-product), so agreement is meaningful.
+product), so agreement is meaningful. The access CSV reference formats every
+value with its own f-string instead of looking it up in a table of distinct
+bit patterns.
 """
 from itertools import product
 
@@ -60,6 +62,16 @@ def ref_pair_counts(n: int, edges: list[tuple[int, int]], live: np.ndarray) -> n
                 if roots[i] == roots[j]:
                     counts[i, j] += 1
     return counts
+
+
+def ref_write_access_csv(p: np.ndarray, orig_ids: np.ndarray, path: str) -> None:
+    """CSV "i,j,p" over original ids with i<j, one f"{p:.6f}" call per pair."""
+    ids = orig_ids.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("i,j,p\n")
+        for i, a in enumerate(ids):
+            row = zip(ids[i + 1 :], p[i, i + 1 :].tolist())
+            fh.writelines(f"{a},{b},{val:.6f}\n" for b, val in row)
 
 
 def random_connected_graph(rng: np.random.Generator, n_max: int = 8, m_max: int = 16):

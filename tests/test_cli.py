@@ -3,9 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import ref_write_access_csv
 
+import netaccess as na
 from netaccess.cli import main
 
 PATH6 = "0 1\n1 2\n2 3\n3 4\n4 5\n"
@@ -232,6 +238,59 @@ def test_oracle_exact_triangle(tmp_path):
                "--output-dir", out) == 0
     rows = open(os.path.join(out, "access.csv")).read().splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["0.625000"] * 3
+
+
+@st.composite
+def small_edge_lists(draw):
+    """Edge-list text with at most 8 edges over arbitrary ids: up to 6 edges
+    among up to 7 nodes, plus up to 2 isolated edges on fresh ids."""
+    ids = draw(st.lists(st.integers(0, 99), min_size=2, max_size=7, unique=True))
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
+    edges += [(100 + 2 * k, 101 + 2 * k) for k in range(draw(st.integers(0, 2)))]
+    return "".join(f"{v} {u}\n" if draw(st.booleans()) else f"{u} {v}\n" for u, v in edges)
+
+
+@settings(deadline=None, max_examples=25)
+@given(small_edge_lists(), st.sampled_from(["0.25", "0.3", "0.5", "0.77"]),
+       st.integers(0, 2**20))
+def test_access_csv_bytes_equal_reference_writer(text, alpha, seed):
+    """oracle and estimate write exactly the reference writer's bytes for the
+    matrix they compute, and estimate's bytes do not depend on workers."""
+    g = na.load_edge_list(text.encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = os.path.join(tmp, "g.edges")
+        with open(edges, "w") as fh:
+            fh.write(text)
+
+        def access(cmd, sub, *extra):
+            out = os.path.join(tmp, sub)
+            assert run(cmd, "--input", edges, "--alpha", alpha, "--no-lcc",
+                       "--output-dir", out, *extra) == 0
+            with open(os.path.join(out, "access.csv"), "rb") as fh:
+                return fh.read()
+
+        def reference(p):
+            path = os.path.join(tmp, "reference.csv")
+            ref_write_access_csv(p, g.orig_ids, path)
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        assert access("oracle", "oracle") == reference(na.exact_access_oracle(g, float(alpha)))
+        want = reference(na.build_ensemble(g, float(alpha), 64, seed)[1].p)
+        for workers in ("1", "2"):
+            assert access("estimate", f"w{workers}", "--R", "64", "--seed", str(seed),
+                          "--workers", workers) == want
+
+
+def test_evaluate_rejects_repeated_ids_exits_1(tmp_path, capsys):
+    est = na.AccessEstimate(n=3, R=10, counters=np.full((3, 3), 10, dtype=np.int32))
+    path = str(tmp_path / "dup.bin")
+    na.save_estimate(est, np.array([7, 7, 9]), 0.5, 0, path)
+    out = tmp_path / "ev"
+    assert run("evaluate", "--estimate-in", path, "--output-dir", str(out)) == 1
+    assert "repeats original id 7" in capsys.readouterr().err
+    assert not (out / "metrics_k0.json").exists()
 
 
 def test_oracle_cap_exits_1(tmp_path):

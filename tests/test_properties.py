@@ -1,8 +1,11 @@
+import os
+import tempfile
+
 import networkx as nx
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import ref_pair_counts
+from reference import ref_pair_counts, ref_write_access_csv
 from scipy.sparse.csgraph import shortest_path
 
 import netaccess as na
@@ -278,3 +281,60 @@ def test_distance_update_equals_recomputation(lines, data):
         h = g.with_edges(new[: t + 1])
         assert np.array_equal(dist, distance_matrix(h))
         assert argmax_pair(dist) == farthest_pair(h)[:2]
+
+
+# values whose formatting a table keyed on float values rather than bit
+# patterns would get wrong (-0.0 vs 0.0), or that sit on a 6-decimal tie
+_FORMAT_EDGES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, 1.5, 2.0, 1e300,
+                 5e-7, 0.1234565, 0.9999995, -5e-7, 1 / 3]
+
+
+@st.composite
+def access_matrices(draw):
+    """(p, orig_ids): a random, generally non-symmetric n x n matrix of
+    float64, float32 or int32 entries, possibly non-contiguous, with
+    distinct ids."""
+    n = draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
+    if dtype is np.int32:
+        elems = st.integers(-(2**31), 2**31 - 1)
+    else:
+        width = 32 if dtype is np.float32 else 64
+        elems = st.sampled_from(_FORMAT_EDGES) | st.floats(width=width)
+    values = draw(st.lists(elems, min_size=n * n, max_size=n * n))
+    with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
+        p = np.array(values, dtype=dtype).reshape(n, n)
+    if draw(st.booleans()):
+        p = p.T
+    ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n, unique=True))
+    return p, np.array(ids, dtype=np.int64)
+
+
+def _upper_triangle(values, n):
+    """n x n ones with the strict upper triangle, row-major, set to values."""
+    p = np.ones((n, n))
+    p[np.triu_indices(n, k=1)] = values
+    return p
+
+
+def _access_csv_bytes(write, p, orig_ids) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "access.csv")
+        write(p, orig_ids, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=200)
+@given(access_matrices())
+@example((np.ones((1, 1)), np.array([5])))
+@example((np.array([[1.0, -0.0], [0.0, 1.0]]), np.array([3, 1])))
+@example((np.array([[1.0, 0.0], [-0.0, 1.0]]), np.array([0, 1])))
+@example((np.array([[1, -7], [2**31 - 1, 0]], dtype=np.int32), np.array([4, 2])))
+@example((np.array([[0.1234565, 0.9999995], [5e-7, -0.0]], dtype=np.float32), np.array([8, 9])))
+@example((_upper_triangle(_FORMAT_EDGES, 6), np.arange(10, 16)))
+def test_access_csv_matches_reference_writer(case):
+    p, orig_ids = case
+    got = _access_csv_bytes(na.write_access_csv, p, orig_ids)
+    assert got == _access_csv_bytes(ref_write_access_csv, p, orig_ids)
+    assert got.count(b"\n") == 1 + len(orig_ids) * (len(orig_ids) - 1) // 2

@@ -322,6 +322,16 @@ def test_load_estimate_rejects_bad_magic(tmp_path):
         na.load_estimate(str(path))
 
 
+@pytest.mark.parametrize("ids, repeated", [([7, 7, 9], 7), ([9, 4, 7, 4, 9], 4)])
+def test_load_estimate_rejects_repeated_ids(tmp_path, ids, repeated):
+    n = len(ids)
+    est = na.AccessEstimate(n=n, R=10, counters=np.full((n, n), 10, dtype=np.int32))
+    path = str(tmp_path / "dup.bin")
+    na.save_estimate(est, np.array(ids), 0.5, 0, path)
+    with pytest.raises(ValueError, match=f"repeats original id {repeated}$"):
+        na.load_estimate(path)
+
+
 def _header(version=1, n=3, R=900, alpha=0.37):
     return b"ACE1" + struct.pack("<IIIdQ", version, n, R, alpha, 13)
 
