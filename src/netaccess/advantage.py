@@ -20,6 +20,7 @@ import numpy as np
 from .graphs import Graph
 from .sampler import (
     AccessEstimate,
+    Coins,
     build_ensemble,
     exact_access_oracle,
     validate_alpha,
@@ -30,9 +31,10 @@ def broadcast_all(est: AccessEstimate) -> np.ndarray:
     """Per-node minimum off-diagonal access probability."""
     if est.n < 2:
         raise ValueError("broadcast needs at least 2 nodes")
-    p = est.p
-    np.fill_diagonal(p, np.inf)
-    return p.min(axis=1)
+    c = est.counters.copy()
+    np.fill_diagonal(c, np.iinfo(np.int32).max)
+    # dividing by R is monotone and correctly rounded: min(c)/R == min(c/R)
+    return c.min(axis=1) / float(est.R)
 
 
 def influence_all(est: AccessEstimate) -> np.ndarray:
@@ -82,8 +84,9 @@ def access_centrality(
     c. cent_star is the mean over the C(n-1, 2) eligible pairs; the
     unnormalized sum is also reported. Pairs with p_jk = 0 contribute 0.
     The base estimate is computed once and each node costs one removal
-    estimate. With exact=True the enumeration oracle replaces sampling
-    (small m only).
+    estimate, which labels the base build's recorded coins with c's edges
+    dropped instead of drawing them again. With exact=True the enumeration
+    oracle replaces sampling (small m only).
     """
     alpha = validate_alpha(alpha)
     if g.n < 3:
@@ -92,13 +95,14 @@ def access_centrality(
         if not (0 <= c < g.n):
             raise ValueError(f"node {c} out of range")
 
-    def access(graph: Graph) -> np.ndarray:
+    def access(graph: Graph, coins: Coins | None = None) -> tuple[np.ndarray, Coins | None]:
         if exact:
-            return exact_access_oracle(graph, alpha)
-        return build_ensemble(graph, alpha, R, seed, workers=workers)[1].p
+            return exact_access_oracle(graph, alpha), None
+        ens, est = build_ensemble(graph, alpha, R, seed, workers=workers, coins=coins)
+        return est.p, ens.coins
 
-    p = access(g)
-    return [_control_report(c, p, access(g.without_node_edges(c))) for c in nodes]
+    p, coins = access(g)
+    return [_control_report(c, p, access(g.without_node_edges(c), coins)[0]) for c in nodes]
 
 
 def _control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> ControlReport:

@@ -11,6 +11,16 @@ The live/dead coin for (sample r, edge e) is a pure function of
 (seed, r, canonical edge key), so ensembles are coupled: adding an edge can
 only merge components, never split them, and an incrementally updated
 ensemble is bit-identical to one rebuilt from scratch on the larger graph.
+The coin is live iff the mixed hash h, read as the uniform draw
+(h >> 11) * 2**-53, lies below alpha; it is tested as the equivalent
+integer rule h < ceil(alpha * 2**53) << 11. A build records its coins
+packed one bit per edge (``Coins``), and the build of a subgraph, such as
+control's removal of a node's edges, labels those instead of drawing again:
+the subgraph's own draw would give the same coins for its edges.
+
+Samples are labelled in blocks, as one disjoint union per block. A graph's
+edges are sorted by eu, so the block's live edges in row-major order have
+sorted sources and are handed to scipy as a CSR matrix without conversion.
 
 Co-occurrence is counted as a sparse product G^T G, where G is 0/1 with one
 row per group of nodes and one column per node. In a fragmented sample (sum
@@ -26,11 +36,12 @@ and adds their one-hot product weighted by each outcome's probability.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import Graph
@@ -45,9 +56,9 @@ _ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
 ESTIMATE_MAGIC = b"ACE1"
 
 
-def _mix64(z: np.ndarray | np.uint64) -> np.ndarray:
-    """SplitMix64 finalizer; stateless 64-bit mixing."""
-    z = np.asarray(z, dtype=np.uint64).copy()
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer; stateless 64-bit mixing of a fresh uint64 array
+    in place (returned for chaining)."""
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= _M1
@@ -57,24 +68,51 @@ def _mix64(z: np.ndarray | np.uint64) -> np.ndarray:
     return z
 
 
+def _edge_keys(eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Canonical 64-bit edge keys (u << 32) | v; ascending for a Graph's edges."""
+    return (eu.astype(np.uint64) << np.uint64(32)) | ev.astype(np.uint64)
+
+
 def _edge_hashes(seed: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Per-edge 64-bit base hash from the seed and canonical (u, v) key."""
-    key = (eu.astype(np.uint64) << np.uint64(32)) | ev.astype(np.uint64)
-    return _mix64(_mix64(np.uint64(seed)) ^ _mix64(key))
+    return _mix64(_mix64(np.array([seed], dtype=np.uint64)) ^ _mix64(_edge_keys(eu, ev)))
 
 
 def _live_rows(edge_hash: np.ndarray, r_lo: int, r_hi: int, alpha: float) -> np.ndarray:
-    """Boolean (r_hi-r_lo, m) live matrix for samples r_lo..r_hi-1."""
+    """Boolean (r_hi-r_lo, m) live matrix for samples r_lo..r_hi-1.
+
+    Edge e is live in sample r iff u = (h >> 11) * 2**-53 < alpha, h being
+    the mixed hash. alpha * 2**53 is exact, so that is the integer test
+    h < ceil(alpha * 2**53) << 11, which fits 64 bits for alpha in (0, 1)."""
     ridx = np.arange(r_lo + 1, r_hi + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         h = _mix64(edge_hash[None, :] + _GOLDEN * ridx[:, None])
-    return (h >> np.uint64(11)) * 2.0 ** -53 < alpha
+    return h < np.uint64(math.ceil(alpha * 2**53) << 11)
 
 
 def validate_alpha(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in the open interval (0,1), got {alpha}")
     return float(alpha)
+
+
+@dataclass(frozen=True)
+class Coins:
+    """Every live/dead coin of one build, recorded so a subgraph's build can
+    label the same samples without drawing them again.
+
+    A coin depends only on (seed, edge key, sample), so the build of any
+    subgraph of the drawn edges, at the same alpha, seed and R, would draw
+    exactly these coins for its edges. ``packed`` holds the (R, m) live
+    matrix over the edges with ascending keys ``keys``, packed along edges
+    with np.packbits; the drawing build fills it block by block.
+    """
+
+    alpha: float
+    seed: int
+    keys: np.ndarray
+    hashes: np.ndarray
+    packed: np.ndarray
 
 
 @dataclass
@@ -85,6 +123,8 @@ class SampleEnsemble:
     values are arbitrary but consistent within a row). ``edges`` tracks the
     current canonical edge set: incremental insertion rejects duplicates
     against it and adds to it, so it is the augmented graph's edge set.
+    ``coins`` are the coins the samples were labelled from; insertion draws
+    the new edge's coins itself and does not add them.
     """
 
     n: int
@@ -93,6 +133,7 @@ class SampleEnsemble:
     alpha: float
     labels: np.ndarray
     edges: set[tuple[int, int]]
+    coins: Coins
 
 
 @dataclass
@@ -110,28 +151,44 @@ class AccessEstimate:
 
 def _label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray) -> tuple[int, np.ndarray]:
     """Label the rows of a (b, m) live matrix as one disjoint union, row r on
-    nodes r*n..r*n+n-1: (number of components, b*n labels unique across rows)."""
+    nodes r*n..r*n+n-1: (number of components, b*n labels unique across rows).
+
+    eu must be non-decreasing, as a Graph's canonical edges are: the row-major
+    live entries then have sorted sources r*n + eu[e], so they are already a
+    CSR matrix, built here without scipy's COO conversion and checks."""
     b = live.shape[0]
     rows, cols = np.nonzero(live)
     rows *= n
-    g = coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows + eu[cols], rows + ev[cols])),
-        shape=(b * n, b * n),
+    src = eu[cols]
+    src += rows
+    indptr = np.zeros(b * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=b * n), out=indptr[1:])
+    del src
+    dst = ev[cols]
+    dst += rows
+    del rows, cols  # free the int64 offsets before the matrix is built
+    index = np.int32 if max(b * n, len(dst)) < 2**31 else np.int64
+    g = csr_matrix(
+        (np.ones(len(dst)), dst.astype(index), indptr.astype(index)), shape=(b * n, b * n)
     )
-    del rows, cols  # free the int64 offsets; the matrix holds its own coordinates
+    del dst, indptr
     return connected_components(g, directed=False)
 
 
 def _accumulate_block(
     n: int,
-    edge_hash: np.ndarray,
     eu: np.ndarray,
     ev: np.ndarray,
-    alpha: float,
+    coins: Coins,
+    cols: np.ndarray | None,
     r_lo: int,
     r_hi: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Label one block of samples and count its pairs as G^T G.
+
+    With ``cols`` None the block's coins are drawn and recorded in
+    ``coins``; otherwise its recorded coins are unpacked and only the edge
+    columns ``cols`` (the edges eu, ev) are kept.
 
     G has one row per component of a fragmented sample, one per non-giant
     component of a giant sample, and one per giant sample holding the nodes
@@ -141,7 +198,12 @@ def _accumulate_block(
     addition, so the result is independent of block scheduling.
     """
     b = r_hi - r_lo
-    live = _live_rows(edge_hash, r_lo, r_hi, alpha)
+    if cols is None:
+        live = _live_rows(coins.hashes, r_lo, r_hi, coins.alpha)
+        coins.packed[r_lo:r_hi] = np.packbits(live, axis=1)
+    else:
+        bits = np.unpackbits(coins.packed[r_lo:r_hi], axis=1, count=len(coins.keys))
+        live = bits.view(bool)[:, cols]
     n_comp, flat = _label_rows(n, eu, ev, live)
     lab = flat.astype(np.int32).reshape(b, n)
     counts = np.bincount(flat)[lab]
@@ -167,12 +229,16 @@ def build_ensemble(
     R: int,
     seed: int,
     workers: int = 1,
+    coins: Coins | None = None,
 ) -> tuple[SampleEnsemble, AccessEstimate]:
     """Build R live-edge samples and the resulting access counters.
 
     Cost is O(R m) for coins plus near-linear component labeling per sample.
     Results are bit-identical for any ``workers`` value: blocks are disjoint
-    and partial counters merge by integer addition.
+    and partial counters merge by integer addition. The coins drawn are kept
+    as ``ens.coins``. Passing the coins of an earlier build at the same
+    alpha, R and seed on a graph holding all of g's edges labels those
+    instead of drawing again; the result is identical to a fresh build.
     """
     alpha = validate_alpha(alpha)
     if R < 1:
@@ -183,11 +249,23 @@ def build_ensemble(
     # taken before the n x n arrays exist: a first build of g.edge_set
     # among them raised peak RSS by ~12 MB through heap fragmentation
     edges = set(g.edge_set)
-    edge_hash = _edge_hashes(seed, g.eu, g.ev)
+    keys = _edge_keys(g.eu, g.ev)
+    if coins is None:
+        packed = np.empty((R, (g.m + 7) // 8), dtype=np.uint8)
+        coins = Coins(alpha, seed, keys, _edge_hashes(seed, g.eu, g.ev), packed)
+        cols = None
+    else:
+        cols = np.searchsorted(coins.keys, keys)
+        if not (
+            (coins.alpha, coins.seed, len(coins.packed)) == (alpha, seed, R)
+            and (cols < len(coins.keys)).all()
+            and np.array_equal(coins.keys[cols], keys)
+        ):
+            raise ValueError("coins were drawn for another alpha, seed, R or edge set")
     blocks = [(lo, min(lo + _BLOCK, R)) for lo in range(0, R, _BLOCK)]
 
     def run(block: tuple[int, int]):
-        return _accumulate_block(n, edge_hash, g.eu, g.ev, alpha, block[0], block[1])
+        return _accumulate_block(n, g.eu, g.ev, coins, cols, block[0], block[1])
 
     same = np.zeros((n, n), dtype=np.int64)
     row_out = np.zeros(n, dtype=np.int64)
@@ -204,7 +282,9 @@ def build_ensemble(
     counters = same + (rc - row_out[:, None] - row_out[None, :])
     np.fill_diagonal(counters, R)
     counters = counters.astype(np.int32)
-    ens = SampleEnsemble(n=n, R=R, seed=seed, alpha=alpha, labels=labels, edges=edges)
+    ens = SampleEnsemble(
+        n=n, R=R, seed=seed, alpha=alpha, labels=labels, edges=edges, coins=coins
+    )
     return ens, AccessEstimate(n=n, R=R, counters=counters)
 
 

@@ -5,11 +5,21 @@ subset enumeration and a plain union-find instead of chunked bit-mask
 enumeration labelled by sparse connected components and counted as a sparse
 product), so agreement is meaningful. The access CSV reference formats every
 value with its own f-string instead of looking it up in a table of distinct
-bit patterns.
+bit patterns. The coin reference mixes Python integers and compares a float
+draw with alpha, where the library compares 64-bit hashes with an integer
+threshold. The labelling reference hands scipy a COO matrix to convert and
+check, where the library assembles a CSR matrix from sorted sources.
 """
 from itertools import product
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15  # sample r adds (r + 1) * GOLDEN to an edge's hash
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 
 
 class UnionFind:
@@ -72,6 +82,64 @@ def ref_write_access_csv(p: np.ndarray, orig_ids: np.ndarray, path: str) -> None
         for i, a in enumerate(ids):
             row = zip(ids[i + 1 :], p[i, i + 1 :].tolist())
             fh.writelines(f"{a},{b},{val:.6f}\n" for b, val in row)
+
+
+def ref_mix64(z: int) -> int:
+    """SplitMix64 finalizer on a Python integer."""
+    z ^= z >> 30
+    z = (z * _M1) & MASK64
+    z ^= z >> 27
+    z = (z * _M2) & MASK64
+    return z ^ (z >> 31)
+
+
+def _unxorshift(z: int, s: int) -> int:
+    """Inverse of z ^= z >> s on 64 bits."""
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def ref_unmix64(h: int) -> int:
+    """The z with ref_mix64(z) == h: each step of the finalizer is invertible."""
+    z = _unxorshift(h, 31)
+    z = (z * pow(_M2, -1, 1 << 64)) & MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(_M1, -1, 1 << 64)) & MASK64
+    return _unxorshift(z, 30)
+
+
+def ref_coin_live(h: int, alpha: float) -> bool:
+    """A coin with mixed hash h is live iff its uniform draw
+    u = (h >> 11) * 2**-53, a float in [0, 1), lies below alpha."""
+    return (h >> 11) * 2.0**-53 < alpha
+
+
+def ref_live_rows(edge_hash, r_lo: int, r_hi: int, alpha: float) -> np.ndarray:
+    """Live matrix of samples r_lo..r_hi-1: sample r mixes edge_hash + r+1
+    golden-ratio increments, one coin per edge."""
+    return np.array(
+        [
+            [ref_coin_live(ref_mix64((int(e) + (r + 1) * GOLDEN) & MASK64), alpha)
+             for e in edge_hash]
+            for r in range(r_lo, r_hi)
+        ],
+        dtype=bool,
+    ).reshape(r_hi - r_lo, len(edge_hash))
+
+
+def ref_label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray):
+    """Components of the disjoint union of a live matrix's rows, row r on
+    nodes r*n..r*n+n-1, through scipy's COO conversion and validation."""
+    b = live.shape[0]
+    rows, cols = np.nonzero(live)
+    rows *= n
+    g = coo_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows + eu[cols], rows + ev[cols])),
+        shape=(b * n, b * n),
+    )
+    return connected_components(g, directed=False)
 
 
 def random_connected_graph(rng: np.random.Generator, n_max: int = 8, m_max: int = 16):

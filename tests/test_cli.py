@@ -338,6 +338,20 @@ def test_control_exact_flag(tmp_path):
             == open(os.path.join(out, "control.csv")).read())
 
 
+def test_control_csv_identical_across_worker_counts(tmp_path):
+    # hub 2, leaf 5 and a node of a second component, over three blocks
+    f = tmp_path / "g.edges"
+    f.write_text("0 2\n1 2\n2 3\n2 4\n3 4\n4 5\n7 8\n8 9\n")
+    outputs = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        assert run("control", "--input", str(f), "--alpha", "0.6", "--R", "1100", "--no-lcc",
+                   "--nodes", "2,5,8", "--workers", workers, "--output-dir", str(out)) == 0
+        outputs.append((out / "control.csv").read_bytes())
+    assert outputs[0].count(b"\n") == 4
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_control_unknown_node_exits_2(tmp_path):
     f = tmp_path / "e.edges"
     f.write_text("0 1\n")

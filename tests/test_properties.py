@@ -5,13 +5,24 @@ import networkx as nx
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import ref_pair_counts, ref_write_access_csv
+from reference import (
+    GOLDEN,
+    MASK64,
+    ref_coin_live,
+    ref_label_rows,
+    ref_live_rows,
+    ref_mix64,
+    ref_pair_counts,
+    ref_unmix64,
+    ref_write_access_csv,
+)
 from scipy.sparse.csgraph import shortest_path
 
 import netaccess as na
 from netaccess import AccessEstimate
 from netaccess.graphs import add_edge_distances, argmax_pair, distance_matrix, farthest_pair
-from netaccess.sampler import _edge_hashes, _live_rows
+from netaccess.advantage import _control_report
+from netaccess.sampler import _edge_hashes, _label_rows, _live_rows
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -338,3 +349,91 @@ def test_access_csv_matches_reference_writer(case):
     got = _access_csv_bytes(na.write_access_csv, p, orig_ids)
     assert got == _access_csv_bytes(ref_write_access_csv, p, orig_ids)
     assert got.count(b"\n") == 1 + len(orig_ids) * (len(orig_ids) - 1) // 2
+
+
+# --- coins, labelling and shared control coins ------------------------------
+
+coin_alphas = st.one_of(
+    st.sampled_from([5e-324, 2.0**-53, 0.5, float(np.nextafter(1.0, 0.0))]),
+    st.integers(1, 2**53 - 1).map(lambda k: k * 2.0**-53),  # alpha * 2**53 integral
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=200)
+@given(coin_alphas, st.integers(0, 2**40), st.integers(1, 3), st.data())
+def test_live_rows_equal_float_coin_rule(alpha, r_lo, b, data):
+    """The integer threshold gives the float rule's coin on random hashes and
+    on hashes whose row-r_lo draw sits at the threshold's edges."""
+    # the smallest mixed hash whose float draw is not below alpha
+    threshold = next(k for k in (int(alpha * 2**53), int(alpha * 2**53) + 1)
+                     if k * 2.0**-53 >= alpha) << 11
+    near = st.sampled_from([-2049, -2048, -1, 0, 1, 2047, 2048]).map(
+        lambda d: min(max(threshold + d, 0), MASK64))
+    mixed = data.draw(st.lists(near | st.integers(0, MASK64), max_size=6))
+    hashes = [(ref_unmix64(h) - (r_lo + 1) * GOLDEN) & MASK64 for h in mixed]
+    hashes += data.draw(st.lists(st.integers(0, MASK64), max_size=3))
+    live = _live_rows(np.array(hashes, dtype=np.uint64), r_lo, r_lo + b, alpha)
+    assert live.shape == (b, len(hashes))
+    assert np.array_equal(live, ref_live_rows(hashes, r_lo, r_lo + b, alpha))
+    assert live[0, : len(mixed)].tolist() == [ref_coin_live(h, alpha) for h in mixed]
+    assert [ref_mix64(ref_unmix64(h)) for h in mixed] == mixed
+
+
+@st.composite
+def live_matrices(draw):
+    """(n, eu, ev, live): canonical sorted edges over n nodes, some of them
+    isolated, and a (b, m) live matrix in which some rows are all dead."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=10))) if pairs else []
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    b = draw(st.integers(1, 5))
+    rows = [[False] * len(edges) if draw(st.booleans())
+            else draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+            for _ in range(b)]
+    return n, eu, ev, np.array(rows, dtype=bool).reshape(b, len(edges))
+
+
+_NO_EDGES = np.zeros(0, dtype=np.int64)
+
+
+@settings(max_examples=200)
+@given(live_matrices())
+@example((1, _NO_EDGES, _NO_EDGES, np.zeros((1, 0), dtype=bool)))
+@example((4, _NO_EDGES, _NO_EDGES, np.zeros((3, 0), dtype=bool)))
+@example((3, np.array([0, 1]), np.array([1, 2]), np.zeros((2, 2), dtype=bool)))
+@example((5, np.array([0, 0, 3]), np.array([1, 2, 4]), np.ones((1, 3), dtype=bool)))
+def test_label_rows_equal_coo_reference(case):
+    """The CSR assembled from sorted sources labels exactly like scipy's COO path."""
+    n, eu, ev, live = case
+    n_comp, labels = _label_rows(n, eu, ev, live)
+    ref_comp, ref_labels = ref_label_rows(n, eu, ev, live)
+    assert n_comp == ref_comp
+    assert np.array_equal(labels, ref_labels)
+
+
+@given(edge_graphs(n_max=7), st.sampled_from(["leaf", "hub", "any"]), alphas, seeds,
+       st.sampled_from([64, 600]), st.integers(1, 3), st.data())
+def test_removal_on_recorded_coins_equals_fresh_build(g, kind, alpha, seed, R, workers, data):
+    """A removal view labelled from the base build's recorded coins equals a
+    fresh build of the removal graph, and control reports equal those of
+    fresh removal builds."""
+    deg = np.bincount(np.concatenate([g.eu, g.ev]), minlength=g.n)
+    if kind == "leaf":
+        assume((deg == 1).any())
+        c = int(data.draw(st.sampled_from(np.flatnonzero(deg == 1).tolist())))
+    elif kind == "hub":
+        c = int(np.argmax(deg))
+    else:
+        c = data.draw(st.integers(0, g.n - 1))
+    ens, est = na.build_ensemble(g, alpha, R, seed, workers=workers)
+    h = g.without_node_edges(c)
+    view_ens, view = na.build_ensemble(h, alpha, R, seed, workers=workers, coins=ens.coins)
+    fresh_ens, fresh = na.build_ensemble(h, alpha, R, seed)
+    assert np.array_equal(view.counters, fresh.counters)
+    assert np.array_equal(view_ens.labels, fresh_ens.labels)
+    if g.n >= 3:
+        report = na.access_centrality(g, alpha, [c], R=R, seed=seed, workers=workers)[0]
+        assert report == _control_report(c, est.p, fresh.p)
