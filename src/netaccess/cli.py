@@ -15,8 +15,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from typing import get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .advantage import access_centrality, advantage_report, write_advantage_csv
@@ -45,7 +47,7 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Full configuration of one CLI run, echoed into every manifest."""
 
@@ -75,6 +77,8 @@ class RunConfig:
             raise ConfigError("R", f"must be at least 1, got {self.R}")
         if self.R >= 2**31:
             raise ConfigError("R", "must be below 2**31 (32-bit counters)")
+        if not (0 <= self.seed < 2**64):
+            raise ConfigError("seed", f"must lie in [0, 2**64), got {self.seed}")
         if self.k < 0:
             raise ConfigError("k", f"must be non-negative, got {self.k}")
         if self.heuristic not in HEURISTIC_KINDS:
@@ -112,20 +116,30 @@ def _write_json(obj: dict, path: str) -> None:
         fh.write("\n")
 
 
+def _out(cfg: RunConfig, name: str) -> str:
+    """Path of output file ``name``; the output directory is made on first use,
+    so a run that fails before writing anything leaves none behind."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return os.path.join(cfg.output_dir, name)
+
+
 def _config_echo(cfg: RunConfig, input_sha: str | None) -> dict:
     echo = asdict(cfg)
     echo["input_sha256"] = input_sha
     return echo
 
 
-def _write_manifest(cfg: RunConfig, outdir: str, input_sha: str | None) -> None:
+def _finish(cfg: RunConfig, input_sha: str | None, summary: str) -> None:
+    """Every command's ending: manifest.json beside its outputs, then the
+    one stdout line ``<command>: <summary> -> <output dir>``."""
     manifest = {
         "command": cfg.command,
         "config": _config_echo(cfg, input_sha),
         "input_sha256": input_sha,
         "version": __version__,
     }
-    _write_json(manifest, os.path.join(outdir, "manifest.json"))
+    _write_json(manifest, _out(cfg, "manifest.json"))
+    print(f"{cfg.command}: {summary} -> {cfg.output_dir}")
 
 
 def _load_graph(cfg: RunConfig) -> tuple[Graph, str]:
@@ -139,50 +153,49 @@ def _load_graph(cfg: RunConfig) -> tuple[Graph, str]:
     return g, sha
 
 
-def _cmd_estimate(cfg: RunConfig) -> int:
+def _write_bundle(
+    cfg: RunConfig, input_sha: str, est: AccessEstimate, orig_ids: np.ndarray, k: int
+) -> dict:
+    bundle = metrics_bundle(
+        est,
+        orig_ids,
+        _config_echo(cfg, input_sha),
+        k=k,
+        signature_metric=cfg.signature_metric,
+        sample_pairs=cfg.sample_pairs,
+        seed=cfg.seed,
+    )
+    _write_json(bundle, _out(cfg, f"metrics_k{k}.json"))
+    return bundle
+
+
+def _cmd_estimate(cfg: RunConfig) -> None:
     g, sha = _load_graph(cfg)
     _, est = build_ensemble(g, cfg.alpha, cfg.R, cfg.seed, workers=cfg.effective_workers())
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    write_access_csv(est.p, g.orig_ids, os.path.join(outdir, "access.csv"))
-    write_advantage_csv(advantage_report(est), g.orig_ids, os.path.join(outdir, "advantage.csv"))
+    write_access_csv(est.p, g.orig_ids, _out(cfg, "access.csv"))
+    write_advantage_csv(advantage_report(est), g.orig_ids, _out(cfg, "advantage.csv"))
     if cfg.estimate_out:
         save_estimate(est, g.orig_ids, cfg.alpha, cfg.seed, cfg.estimate_out)
-    _write_manifest(cfg, outdir, sha)
-    print(f"estimate: n={g.n} m={g.m} alpha={cfg.alpha} R={cfg.R} -> {outdir}")
-    return 0
+    _finish(cfg, sha, f"n={g.n} m={g.m} alpha={cfg.alpha} R={cfg.R}")
 
 
-def _cmd_augment(cfg: RunConfig) -> int:
+def _cmd_augment(cfg: RunConfig) -> None:
     g, sha = _load_graph(cfg)
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    echo = _config_echo(cfg, sha)
-    bundles_written: set[int] = set()
+    est = None  # the run's estimate; every on_step passes it, updated in place
+    last_k = -1  # the k of the last metrics bundle written
 
-    def snapshot(est: AccessEstimate, added: int) -> None:
-        if added in bundles_written:
-            return
-        bundles_written.add(added)
-        bundle = metrics_bundle(
-            est,
-            g.orig_ids,
-            echo,
-            k=added,
-            signature_metric=cfg.signature_metric,
-            sample_pairs=cfg.sample_pairs,
-            seed=cfg.seed,
-        )
-        _write_json(bundle, os.path.join(outdir, f"metrics_k{added}.json"))
+    def bundle(k: int) -> None:
+        nonlocal last_k
+        if k != last_k:
+            last_k = k
+            _write_bundle(cfg, sha, est, g.orig_ids, k)
 
-    last_state: dict = {}
-
-    def on_step(steps_done: int, added_total: int, est: AccessEstimate) -> None:
+    def on_step(steps_done: int, added_total: int, step_est: AccessEstimate) -> None:
         # the first call, before any step, writes metrics_k0.json
-        last_state["added"] = added_total
-        last_state["est"] = est
+        nonlocal est
+        est = step_est
         if steps_done % cfg.eval_every == 0:
-            snapshot(est, added_total)
+            bundle(added_total)
 
     trace, augmented = run_augmentation(
         g,
@@ -194,76 +207,52 @@ def _cmd_augment(cfg: RunConfig) -> int:
         workers=cfg.effective_workers(),
         on_step=on_step,
     )
-    snapshot(last_state["est"], last_state["added"])
+    added = len(trace.edges_added)
+    bundle(added)
 
-    write_trace_csv(trace, g.orig_ids, os.path.join(outdir, "trace.csv"))
-    write_edge_list(augmented, os.path.join(outdir, "augmented.edges"))
+    write_trace_csv(trace, g.orig_ids, _out(cfg, "trace.csv"))
+    write_edge_list(augmented, _out(cfg, "augmented.edges"))
     skipped = [e for rec in trace.steps for e in rec.events]
+    final_welfare = trace.steps[-1].welfare if trace.steps else None
     run_summary = {
         "heuristic": trace.kind,
         "budget": trace.k,
-        "edges_added": len(trace.edges_added),
+        "edges_added": added,
         "center": int(g.orig_ids[trace.center]) if trace.center is not None else None,
         "early_termination": trace.early_termination,
         "skipped_events": skipped,
-        "final_welfare": trace.steps[-1].welfare if trace.steps else None,
+        "final_welfare": final_welfare,
     }
-    _write_json(run_summary, os.path.join(outdir, "run_summary.json"))
-    _write_manifest(cfg, outdir, sha)
-    print(
-        f"augment: {cfg.heuristic} k={cfg.k} added={len(trace.edges_added)} "
-        f"final_welfare={run_summary['final_welfare']} -> {outdir}"
-    )
-    return 0
+    _write_json(run_summary, _out(cfg, "run_summary.json"))
+    _finish(cfg, sha, f"{cfg.heuristic} k={cfg.k} added={added} final_welfare={final_welfare}")
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    if cfg.estimate_in and cfg.input:
-        raise ConfigError("estimate_in", "give either --estimate-in or --input, not both")
+def _cmd_evaluate(cfg: RunConfig) -> None:
     if cfg.estimate_in:
         sha = _sha256(cfg.estimate_in)
         est, orig_ids, alpha, _ = load_estimate(cfg.estimate_in)
-        cfg.alpha = alpha
-        cfg.R = est.R
+        # the dump fixes alpha and R; this run's echo reports them
+        cfg = replace(cfg, alpha=alpha, R=est.R)
     else:
         g, sha = _load_graph(cfg)
         orig_ids = g.orig_ids
         _, est = build_ensemble(g, cfg.alpha, cfg.R, cfg.seed, workers=cfg.effective_workers())
-    bundle = metrics_bundle(
-        est,
-        orig_ids,
-        _config_echo(cfg, sha),
-        k=0,
-        signature_metric=cfg.signature_metric,
-        sample_pairs=cfg.sample_pairs,
-        seed=cfg.seed,
-    )
-    _write_json(bundle, os.path.join(outdir, "metrics_k0.json"))
-    _write_manifest(cfg, outdir, sha)
-    print(f"evaluate: welfare={bundle['welfare']['value']} -> {outdir}")
-    return 0
+    bundle = _write_bundle(cfg, sha, est, orig_ids, 0)
+    _finish(cfg, sha, f"welfare={bundle['welfare']['value']}")
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
+def _cmd_oracle(cfg: RunConfig) -> None:
     g, sha = _load_graph(cfg)
     p = exact_access_oracle(g, cfg.alpha)
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    write_access_csv(p, g.orig_ids, os.path.join(outdir, "access.csv"))
-    _write_manifest(cfg, outdir, sha)
-    print(f"oracle: n={g.n} m={g.m} exact matrix -> {outdir}")
-    return 0
+    write_access_csv(p, g.orig_ids, _out(cfg, "access.csv"))
+    _finish(cfg, sha, f"n={g.n} m={g.m} exact matrix")
 
 
-def _cmd_stability(cfg: RunConfig) -> int:
+def _cmd_stability(cfg: RunConfig) -> None:
     g, sha = _load_graph(cfg)
     max_dev, mean_dev = stability_check(
         g, cfg.alpha, cfg.R, cfg.reps, cfg.seed, workers=cfg.effective_workers()
     )
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
     _write_json(
         {
             "alpha": cfg.alpha,
@@ -273,14 +262,12 @@ def _cmd_stability(cfg: RunConfig) -> int:
             "max_dev": max_dev,
             "mean_dev": mean_dev,
         },
-        os.path.join(outdir, "stability.json"),
+        _out(cfg, "stability.json"),
     )
-    _write_manifest(cfg, outdir, sha)
-    print(f"stability: max_dev={max_dev:.6f} mean_dev={mean_dev:.6f} -> {outdir}")
-    return 0
+    _finish(cfg, sha, f"max_dev={max_dev:.6f} mean_dev={mean_dev:.6f}")
 
 
-def _cmd_control(cfg: RunConfig) -> int:
+def _cmd_control(cfg: RunConfig) -> None:
     g, sha = _load_graph(cfg)
     if cfg.nodes:
         try:
@@ -311,19 +298,14 @@ def _cmd_control(cfg: RunConfig) -> int:
         exact=cfg.exact,
         workers=cfg.effective_workers(),
     )
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "control.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_out(cfg, "control.csv"), "w", encoding="utf-8") as fh:
         fh.write("node,cent_star,max_pair_control,raw_sum\n")
         for rep in reports:
             fh.write(
                 f"{int(g.orig_ids[rep.node])},{rep.cent_star:.6f},"
                 f"{rep.max_pair_control:.6f},{rep.raw_sum:.6f}\n"
             )
-    _write_manifest(cfg, outdir, sha)
-    print(f"control: {len(dense_nodes)} node(s) -> {outdir}")
-    return 0
+    _finish(cfg, sha, f"{len(dense_nodes)} node(s)")
 
 
 _COMMANDS = {
@@ -405,76 +387,66 @@ _FILE_TYPES = {**get_type_hints(RunConfig), "alpha": int | float | str}
 del _FILE_TYPES["command"]
 
 
-def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, list[float]]:
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise ConfigError("config", f"{args.config} is not valid JSON: {exc}")
-        if not isinstance(file_values, dict):
-            raise ConfigError("config", f"{args.config} must hold a JSON object")
-        unknown = set(file_values) - set(_FILE_TYPES)
-        if unknown:
-            raise ConfigError("config", f"unknown config file keys: {sorted(unknown)}")
-        for name, value in file_values.items():
-            expected = _FILE_TYPES[name]
-            # bool is an int subclass, so only a bool field takes true/false
-            if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
-                type_name = getattr(expected, "__name__", expected)
-                raise ConfigError(name, f"config file value {value!r} is not {type_name}")
-
-    cfg = RunConfig(command=args.command)
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            setattr(cfg, f.name, flag_val)
-        elif f.name in file_values and f.name != "alpha":
-            setattr(cfg, f.name, file_values[f.name])
-
-    alpha_raw = getattr(args, "alpha", None)
-    if alpha_raw is None:
-        alpha_raw = file_values.get("alpha")
-    if alpha_raw is None:
-        alphas = [cfg.alpha]
-    else:
-        if isinstance(alpha_raw, (int, float)):
-            tokens = [str(alpha_raw)]
-        else:
-            tokens = str(alpha_raw).split(",")
+def _read_config_file(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            alphas = [float(tok) for tok in tokens]
-        except ValueError:
-            raise ConfigError("alpha", f"could not parse {alpha_raw!r} as float(s)")
-    return cfg, alphas
+            values = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigError("config", f"{path} is not valid JSON: {exc}")
+    if not isinstance(values, dict):
+        raise ConfigError("config", f"{path} must hold a JSON object")
+    unknown = set(values) - set(_FILE_TYPES)
+    if unknown:
+        raise ConfigError("config", f"unknown config file keys: {sorted(unknown)}")
+    for name, value in values.items():
+        expected = _FILE_TYPES[name]
+        # bool is an int subclass, so only a bool field takes true/false
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            type_name = getattr(expected, "__name__", expected)
+            raise ConfigError(name, f"config file value {value!r} is not {type_name}")
+    return values
+
+
+def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, list[float]]:
+    """The run's config and its alphas: the config file's values, then the
+    flags given over them, with RunConfig's defaults for the rest."""
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _FILE_TYPES and v is not None)
+    if args.command == "evaluate" and values.get("estimate_in"):
+        if values.get("input"):
+            raise ConfigError("estimate_in", "give either --estimate-in or --input, not both")
+        if {"alpha", "R"} & values.keys():
+            raise ConfigError("estimate_in", "the dump fixes alpha and R; do not also give alpha or R")
+    alpha_raw = values.pop("alpha", None)
+    cfg = RunConfig(command=args.command, **values)
+    if alpha_raw is None:
+        return cfg, [cfg.alpha]
+    tokens = [str(alpha_raw)] if isinstance(alpha_raw, (int, float)) else alpha_raw.split(",")
+    try:
+        return cfg, [float(tok) for tok in tokens]
+    except ValueError:
+        raise ConfigError("alpha", f"could not parse {alpha_raw!r} as float(s)")
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg, alphas = _merge_config(args)
-        base_dir = cfg.output_dir
         for alpha in alphas:
-            cfg.alpha = alpha
-            cfg.output_dir = (
-                base_dir if len(alphas) == 1 else os.path.join(base_dir, f"alpha_{alpha:g}")
-            )
-            cfg.validate()
-            code = _COMMANDS[cfg.command](cfg)
-            if code != 0:
-                return code
-        return 0
+            output_dir = cfg.output_dir
+            if len(alphas) > 1:
+                output_dir = os.path.join(output_dir, f"alpha_{alpha:g}")
+            run = replace(cfg, alpha=alpha, output_dir=output_dir)
+            run.validate()
+            _COMMANDS[run.command](run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -245,6 +245,8 @@ def build_ensemble(
         raise ValueError(f"R must be at least 1, got {R}")
     if R >= 2**31:
         raise ValueError("R must fit 32-bit counters (R < 2**31)")
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     n = g.n
     # taken before the n x n arrays exist: a first build of g.edge_set
     # among them raised peak RSS by ~12 MB through heap fragmentation
@@ -325,19 +327,19 @@ def add_edge_incremental(
     return ens, est
 
 
-def exact_access_oracle(g: Graph, alpha: float, cap: int = ORACLE_EDGE_CAP) -> np.ndarray:
+def exact_access_oracle(g: Graph, alpha: float) -> np.ndarray:
     """Exact p matrix by enumerating all 2^m live-edge subsets.
 
     Bit e of a mask is edge e's coin. Each chunk of masks is labelled like
     a sample block and adds M^T W M, M holding one one-hot row per component
     and W each mask's probability alpha^k (1-alpha)^(m-k). Access probability
-    computation is #P-hard in general, so this is gated at m <= cap edges.
+    computation is #P-hard in general, so this is gated at m <= ORACLE_EDGE_CAP.
     Exact to floating precision; p is exactly symmetric with a unit diagonal.
     """
     alpha = validate_alpha(alpha)
     m = g.m
-    if m > cap:
-        raise ValueError(f"exact oracle refuses m={m} > cap={cap} edges")
+    if m > ORACLE_EDGE_CAP:
+        raise ValueError(f"exact oracle refuses m={m} > cap={ORACLE_EDGE_CAP} edges")
     n = g.n
     p = np.zeros((n, n))
     for lo in range(0, 1 << m, _ORACLE_CHUNK):
@@ -424,7 +426,8 @@ def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
     """Read a binary dump; returns (estimate, orig_ids, alpha, seed).
 
     Raises ValueError naming the problem on a bad magic or header field, a
-    truncated file, trailing bytes, or a repeated original id."""
+    truncated file, trailing bytes, a repeated original id, or a pair
+    counter above R."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != ESTIMATE_MAGIC:
@@ -454,7 +457,11 @@ def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
         if v in seen:
             raise ValueError(f"estimate file repeats original id {v}")
         seen.add(v)
-    tri = np.frombuffer(data, dtype="<u4", count=n_pairs, offset=32 + 4 * n).astype(np.int32)
+    tri = np.frombuffer(data, dtype="<u4", count=n_pairs, offset=32 + 4 * n)
+    # checked as u32: a count of 2**31 or more would wrap negative in int32
+    if n_pairs and int(tri.max()) > R:
+        raise ValueError(f"estimate file pair counter {int(tri.max())} exceeds R={R}")
+    tri = tri.astype(np.int32)
     counters = np.zeros((n, n), dtype=np.int32)
     iu, ju = np.triu_indices(n, k=1)
     counters[iu, ju] = tri

@@ -146,6 +146,23 @@ def test_bad_alpha_exits_2(graph_file, tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_exits_2(graph_file, tmp_path, capsys, seed):
+    out = tmp_path / "o"
+    assert run("estimate", "--input", graph_file, f"--seed={seed}", "--R", "20",
+               "--output-dir", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: seed: must lie in [0, 2**64), got {seed}")
+    assert not out.exists()
+
+
+def test_seed_outside_64_bits_in_config_file_exits_2(graph_file, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    assert run("augment", "--input", graph_file, "--config", str(cfg), "--k", "2",
+               "--output-dir", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+
+
 def test_odd_budget_for_paired_kind_exits_2(graph_file, tmp_path, capsys):
     assert run("augment", "--input", graph_file, "--heuristic", "bc-both",
                "--k", "3", "--output-dir", str(tmp_path / "o")) == 2
@@ -203,6 +220,94 @@ def test_augment_trace_identical_across_worker_counts(graph_file, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+# K7 minus four edges: bc-one adds three edges, then finds node 0 adjacent
+# to all candidates on every later step (alpha 0.5, R 200, seed 0)
+SKIP_LATE = ("1 2\n2 5\n0 1\n3 5\n1 3\n2 6\n3 6\n1 4\n0 4\n0 6\n2 4\n1 6\n3 4\n0 5\n"
+             "4 5\n1 5\n4 6\n")
+
+
+@pytest.mark.parametrize(
+    "text, heuristic, k, eval_every, written",
+    [
+        (PATH6, "bc-chord", 5, 2, [0, 2, 4, 5]),  # k not a multiple of eval_every
+        (SKIP_LATE, "bc-one", 5, 1, [0, 1, 2, 3]),  # steps that add nothing
+        ("0 1\n1 2\n", "bc-chord", 10, 3, [0, 1]),  # ends early: complete
+    ],
+    ids=["k-not-a-multiple", "skipped-steps", "early-end"],
+)
+def test_augment_writes_each_bundle_once(tmp_path, monkeypatch, text, heuristic, k, eval_every,
+                                         written):
+    import netaccess.cli as cli
+
+    f = tmp_path / "g.edges"
+    f.write_text(text)
+    bundled = []
+
+    def counting_bundle(*args, **kwargs):
+        bundled.append(kwargs["k"])
+        return metrics_bundle(*args, **kwargs)
+
+    metrics_bundle = cli.metrics_bundle
+    monkeypatch.setattr(cli, "metrics_bundle", counting_bundle)
+    out = tmp_path / "aug"
+    assert run("augment", "--input", str(f), "--alpha", "0.5", "--R", "200",
+               "--heuristic", heuristic, "--k", str(k), "--eval-every", str(eval_every),
+               "--output-dir", str(out)) == 0
+    assert bundled == written
+    assert sorted(p.name for p in out.glob("metrics_k*.json")) == sorted(
+        f"metrics_k{j}.json" for j in written)
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["edges_added"] == written[-1]
+    if heuristic == "bc-one":
+        assert summary["skipped_events"] == ["skipped: node 0 adjacent to all candidates"] * 2
+
+
+def test_failed_run_leaves_no_output_dir(tmp_path):
+    tri = tmp_path / "tri.edges"
+    tri.write_text("0 1\n1 2\n0 2\n")
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"NOPE" + b"\x00" * 64)
+    runs = [
+        ("augment", "--input", str(tri), "--k", "2"),  # already complete
+        ("evaluate", "--estimate-in", str(junk)),
+        ("evaluate", "--input", str(tri), "--estimate-in", str(junk)),
+        ("control", "--input", str(tri), "--nodes", "5"),
+        ("oracle", "--input", str(tmp_path / "missing.edges")),
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        assert run(*argv, "--output-dir", str(out)) in (1, 2)
+        assert not out.exists(), argv
+
+
+def test_every_command_prints_its_summary_line(graph_file, tmp_path, capsys):
+    def line(*argv):
+        out = str(tmp_path / argv[0])
+        assert run(*argv, "--input", graph_file, "--alpha", "0.5", "--R", "120",
+                   "--output-dir", out) == 0
+        return capsys.readouterr().out, out
+
+    def read(out, name):
+        return json.loads(open(os.path.join(out, name)).read())
+
+    text, out = line("estimate")
+    assert text == f"estimate: n=6 m=5 alpha=0.5 R=120 -> {out}\n"
+    text, out = line("augment", "--k", "2")
+    welfare = read(out, "run_summary.json")["final_welfare"]
+    assert text == f"augment: bc-chord k=2 added=2 final_welfare={welfare} -> {out}\n"
+    text, out = line("evaluate")
+    welfare = read(out, "metrics_k0.json")["welfare"]["value"]
+    assert text == f"evaluate: welfare={welfare} -> {out}\n"
+    text, out = line("oracle")
+    assert text == f"oracle: n=6 m=5 exact matrix -> {out}\n"
+    text, out = line("stability", "--reps", "2")
+    st = read(out, "stability.json")
+    assert text == (f"stability: max_dev={st['max_dev']:.6f} mean_dev={st['mean_dev']:.6f}"
+                    f" -> {out}\n")
+    text, out = line("control", "--nodes", "2,4")
+    assert text == f"control: 2 node(s) -> {out}\n"
+
+
 # --- evaluate / oracle / stability / control ------------------------------
 
 def test_evaluate_from_graph(graph_file, tmp_path):
@@ -223,6 +328,52 @@ def test_evaluate_round_trip_through_binary(graph_file, tmp_path):
     bundle = json.loads(open(os.path.join(ev_dir, "metrics_k0.json")).read())
     assert bundle["config"]["alpha"] == 0.5
     assert bundle["config"]["R"] == 300
+
+
+@pytest.fixture
+def dump(graph_file, tmp_path):
+    """An estimate dump at alpha 0.3, R 250, seed 2."""
+    path = str(tmp_path / "est.bin")
+    assert run("estimate", "--input", graph_file, "--alpha", "0.3", "--R", "250", "--seed", "2",
+               "--output-dir", str(tmp_path / "est"), "--estimate-out", path) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "flags, file_values",
+    [
+        (["--alpha", "0.2,0.9"], None),
+        (["--alpha", "0.3"], None),
+        (["--R", "7"], None),
+        ([], {"alpha": 0.2}),
+        ([], {"R": 250}),
+        ([], {"alpha": "0.2,0.9", "seed": 1}),
+    ],
+    ids=["alpha-list-flag", "alpha-flag", "R-flag", "alpha-file", "R-file", "alpha-list-file"],
+)
+def test_evaluate_estimate_in_with_alpha_or_R_exits_2(dump, tmp_path, capsys, flags, file_values):
+    if file_values is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(file_values))
+        flags = flags + ["--config", str(cfg)]
+    out = tmp_path / "ev"
+    assert run("evaluate", "--estimate-in", dump, *flags, "--output-dir", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: estimate_in: ")
+    assert not out.exists()
+
+
+def test_evaluate_estimate_in_echoes_the_dumps_alpha_and_R(dump, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 9, "sample_pairs": 4}))
+    out = tmp_path / "ev"
+    assert run("evaluate", "--estimate-in", dump, "--config", str(cfg),
+               "--output-dir", str(out)) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    bundle = json.loads((out / "metrics_k0.json").read_text())
+    for echo in (man["config"], bundle["config"]):
+        assert (echo["alpha"], echo["R"], echo["seed"]) == (0.3, 250, 9)
+        assert echo["estimate_in"] == dump and echo["sample_pairs"] == 4
+    assert man["input_sha256"] == hashlib.sha256(open(dump, "rb").read()).hexdigest()
 
 
 def test_evaluate_rejects_both_sources(graph_file, tmp_path):

@@ -241,6 +241,16 @@ def test_R_validation():
         na.build_ensemble(g, 0.5, 2**31, 0)
 
 
+def test_seed_validation():
+    g = _graph(b"0 1\n1 2\n")
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed must lie in \\[0, 2\\*\\*64\\), got {bad}"):
+            na.build_ensemble(g, 0.5, 10, bad)
+    # both ends of the range draw coins
+    for good in (0, 2**64 - 1):
+        assert na.build_ensemble(g, 0.5, 10, good)[1].counters[0, 0] == 10
+
+
 # --- incremental update ---------------------------------------------------
 
 
@@ -388,3 +398,27 @@ def test_load_estimate_rejects_malformed_files(tmp_path, capsys, mangle, message
     code = cli_main(["evaluate", "--estimate-in", str(path), "--output-dir", str(tmp_path / "ev")])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("big", [150, 2**31, 2**32 - 5])
+def test_load_estimate_rejects_counters_above_R(tmp_path, capsys, big):
+    # R=100 over 3 nodes: the upper-triangle counters are the last 3 u32s
+    est = na.AccessEstimate(n=3, R=100, counters=np.full((3, 3), 40, dtype=np.int32))
+    path = tmp_path / "est.bin"
+    na.save_estimate(est, np.array([1, 2, 3]), 0.5, 0, str(path))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, len(blob) - 8, big)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"pair counter {big} exceeds R=100$"):
+        na.load_estimate(str(path))
+    out = tmp_path / "ev"
+    assert cli_main(["evaluate", "--estimate-in", str(path), "--output-dir", str(out)]) == 1
+    assert f"pair counter {big} exceeds R=100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_estimate_accepts_counters_equal_to_R(tmp_path):
+    est = na.AccessEstimate(n=3, R=100, counters=np.full((3, 3), 100, dtype=np.int32))
+    path = str(tmp_path / "est.bin")
+    na.save_estimate(est, np.array([1, 2, 3]), 0.5, 0, path)
+    assert np.array_equal(na.load_estimate(path)[0].counters, est.counters)
