@@ -93,6 +93,12 @@ class RunConfig:
             raise ConfigError("workers", f"must be non-negative, got {self.workers}")
         if self.reps < 2:
             raise ConfigError("reps", f"must be at least 2, got {self.reps}")
+        if self.command == "stability" and self.seed + self.reps - 1 >= 2**64:
+            # repetition i runs at seed + i
+            raise ConfigError(
+                "seed", f"stability runs seeds {self.seed}..{self.seed + self.reps - 1}, "
+                "which must lie below 2**64"
+            )
         if self.signature_metric not in ("L1", "L2"):
             raise ConfigError("signature_metric", f"must be L1 or L2, got {self.signature_metric}")
         if self.sample_pairs is not None and self.sample_pairs < 1:
@@ -169,14 +175,28 @@ def _write_bundle(
     return bundle
 
 
-def _cmd_estimate(cfg: RunConfig) -> None:
-    g, sha = _load_graph(cfg)
-    _, est = build_ensemble(g, cfg.alpha, cfg.R, cfg.seed, workers=cfg.effective_workers())
-    write_access_csv(est.p, g.orig_ids, _out(cfg, "access.csv"))
-    write_advantage_csv(advantage_report(est), g.orig_ids, _out(cfg, "advantage.csv"))
-    if cfg.estimate_out:
-        save_estimate(est, g.orig_ids, cfg.alpha, cfg.seed, cfg.estimate_out)
-    _finish(cfg, sha, f"n={g.n} m={g.m} alpha={cfg.alpha} R={cfg.R}")
+def _cmd_estimate(runs: list[RunConfig]) -> None:
+    """Every alpha of the sweep on one loaded graph. An alpha at or above the
+    previous one is labelled on the previous alpha's components; each alpha
+    is written and finished before the next is built, so at most two
+    ensembles are alive at once."""
+    g, sha = _load_graph(runs[0])
+    ens = None
+    for cfg in runs:
+        below = ens if ens is not None and ens.alpha <= cfg.alpha else None
+        # each ensemble and estimate is dropped once nothing needs it, so the
+        # next build does not hold it (a few MB of RSS each)
+        ens = None
+        ens, est = build_ensemble(
+            g, cfg.alpha, cfg.R, cfg.seed, workers=cfg.effective_workers(), below=below
+        )
+        below = None
+        write_access_csv(est.p, g.orig_ids, _out(cfg, "access.csv"))
+        write_advantage_csv(advantage_report(est), g.orig_ids, _out(cfg, "advantage.csv"))
+        if cfg.estimate_out:
+            save_estimate(est, g.orig_ids, cfg.alpha, cfg.seed, cfg.estimate_out)
+        est = None
+        _finish(cfg, sha, f"n={g.n} m={g.m} alpha={cfg.alpha} R={cfg.R}")
 
 
 def _cmd_augment(cfg: RunConfig) -> None:
@@ -308,13 +328,24 @@ def _cmd_control(cfg: RunConfig) -> None:
     _finish(cfg, sha, f"{len(dense_nodes)} node(s)")
 
 
+def _each(command):
+    """A command that runs each alpha of a sweep on its own, afresh."""
+
+    def run_all(runs: list[RunConfig]) -> None:
+        for cfg in runs:
+            command(cfg)
+
+    return run_all
+
+
+# each command takes the sweep's runs, one per alpha
 _COMMANDS = {
     "estimate": _cmd_estimate,
-    "augment": _cmd_augment,
-    "evaluate": _cmd_evaluate,
-    "oracle": _cmd_oracle,
-    "stability": _cmd_stability,
-    "control": _cmd_control,
+    "augment": _each(_cmd_augment),
+    "evaluate": _each(_cmd_evaluate),
+    "oracle": _each(_cmd_oracle),
+    "stability": _each(_cmd_stability),
+    "control": _each(_cmd_control),
 }
 
 
@@ -407,9 +438,12 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, list[float]]:
-    """The run's config and its alphas: the config file's values, then the
-    flags given over them, with RunConfig's defaults for the rest."""
+def _merge_config(args: argparse.Namespace) -> list[RunConfig]:
+    """One validated config per alpha: the config file's values, then the
+    flags given over them, with RunConfig's defaults for the rest. Every run
+    is validated before any starts; with more than one alpha each run writes
+    to its own ``alpha_{a:g}`` subdirectory, and alphas that print alike
+    there are a config error."""
     values = _read_config_file(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items() if k in _FILE_TYPES and v is not None)
     if args.command == "evaluate" and values.get("estimate_in"):
@@ -420,26 +454,39 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, list[float]]:
     alpha_raw = values.pop("alpha", None)
     cfg = RunConfig(command=args.command, **values)
     if alpha_raw is None:
-        return cfg, [cfg.alpha]
-    tokens = [str(alpha_raw)] if isinstance(alpha_raw, (int, float)) else alpha_raw.split(",")
-    try:
-        return cfg, [float(tok) for tok in tokens]
-    except ValueError:
-        raise ConfigError("alpha", f"could not parse {alpha_raw!r} as float(s)")
+        alphas = [cfg.alpha]
+    else:
+        tokens = [str(alpha_raw)] if isinstance(alpha_raw, (int, float)) else alpha_raw.split(",")
+        try:
+            alphas = [float(tok) for tok in tokens]
+        except ValueError:
+            raise ConfigError("alpha", f"could not parse {alpha_raw!r} as float(s)")
+    if len(alphas) == 1:
+        runs = [replace(cfg, alpha=alphas[0])]
+    else:
+        runs = [
+            replace(cfg, alpha=a, output_dir=os.path.join(cfg.output_dir, f"alpha_{a:g}"))
+            for a in alphas
+        ]
+    seen: dict[str, float] = {}
+    for run in runs:
+        run.validate()
+        if run.output_dir in seen:
+            raise ConfigError(
+                "alpha",
+                f"{seen[run.output_dir]!r} and {run.alpha!r} share the output "
+                f"directory {run.output_dir}",
+            )
+        seen[run.output_dir] = run.alpha
+    return runs
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        cfg, alphas = _merge_config(args)
-        for alpha in alphas:
-            output_dir = cfg.output_dir
-            if len(alphas) > 1:
-                output_dir = os.path.join(output_dir, f"alpha_{alpha:g}")
-            run = replace(cfg, alpha=alpha, output_dir=output_dir)
-            run.validate()
-            _COMMANDS[run.command](run)
+        runs = _merge_config(args)
+        _COMMANDS[args.command](runs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,17 @@ Samples are labelled in blocks, as one disjoint union per block. A graph's
 edges are sorted by eu, so the block's live edges in row-major order have
 sorted sources and are handed to scipy as a CSR matrix without conversion.
 
+The coin draw does not depend on alpha, so at a1 <= a2 every sample's live
+edges at a1 are a subset of its live edges at a2, and its components at a1
+refine those at a2 (the nesting Newman and Ziff use for percolation sweeps,
+PRL 85, 4104, 2000). A build can therefore start from an earlier ensemble
+of the same graph or a subgraph at the same seed and R and a lower or equal
+alpha: it still draws its own coins, but labels each block on the quotient
+graph of the earlier block's components, which only the live edges between
+different earlier components enter. The counters are identical to a fresh
+build's, and so are the labels unless insertion relabelled the earlier
+ensemble.
+
 Co-occurrence is counted as a sparse product G^T G, where G is 0/1 with one
 row per group of nodes and one column per node. In a fragmented sample (sum
 of squared component sizes at most n^2/2) every component is a group. In any
@@ -120,9 +131,11 @@ class SampleEnsemble:
     """R coupled live-edge samples stored as per-sample component labels.
 
     ``labels[r]`` assigns each node its component label in sample r (label
-    values are arbitrary but consistent within a row). ``edges`` tracks the
-    current canonical edge set: incremental insertion rejects duplicates
-    against it and adds to it, so it is the augmented graph's edge set.
+    values are arbitrary but consistent within a row; no two rows of one
+    labelling block share a label, which a build from ``below`` relies on
+    and insertion keeps). ``edges`` tracks the current canonical edge set:
+    incremental insertion rejects duplicates against it and adds to it, so
+    it is the augmented graph's edge set.
     ``coins`` are the coins the samples were labelled from; insertion draws
     the new edge's coins itself and does not add them.
     """
@@ -175,6 +188,35 @@ def _label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray) -> tup
     return connected_components(g, directed=False)
 
 
+def _merge_rows(
+    prev: np.ndarray, eu: np.ndarray, ev: np.ndarray, live: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """``_label_rows`` for a live matrix whose components are unions of the
+    components labelled ``prev``: (b, n) labels of an earlier labelling of
+    the same rows, unique across rows as a block's labels are.
+
+    The live edges between different earlier components become edges
+    between earlier labels, and the components of that quotient graph are
+    composed with ``prev``. scipy numbers components in the order of their
+    smallest node, so for an earlier labelling that scipy made, quotient
+    components come in the order of their smallest node too and the result
+    equals ``_label_rows`` label for label."""
+    # np.take keeps the gathers row-major like ``live``; prev[:, eu] would
+    # not, and every elementwise step below would then run strided
+    src = np.take(prev, eu, axis=1)
+    dst = np.take(prev, ev, axis=1)
+    cross = src != dst
+    cross &= live
+    src = src[cross]
+    dst = dst[cross]
+    del cross
+    k = int(prev.max()) + 1
+    quotient = csr_matrix((np.ones(len(src)), (src, dst)), shape=(k, k))
+    del src, dst
+    n_comp, merged = connected_components(quotient, directed=False)
+    return n_comp, merged[prev.ravel()]
+
+
 def _accumulate_block(
     n: int,
     eu: np.ndarray,
@@ -183,12 +225,16 @@ def _accumulate_block(
     cols: np.ndarray | None,
     r_lo: int,
     r_hi: int,
+    prev: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Label one block of samples and count its pairs as G^T G.
 
     With ``cols`` None the block's coins are drawn and recorded in
     ``coins``; otherwise its recorded coins are unpacked and only the edge
-    columns ``cols`` (the edges eu, ev) are kept.
+    columns ``cols`` (the edges eu, ev) are kept. With ``prev`` None the
+    block is labelled afresh; otherwise ``prev`` holds an earlier, finer
+    labelling of the same samples and the block is labelled on its
+    components (``_merge_rows``).
 
     G has one row per component of a fragmented sample, one per non-giant
     component of a giant sample, and one per giant sample holding the nodes
@@ -204,7 +250,10 @@ def _accumulate_block(
     else:
         bits = np.unpackbits(coins.packed[r_lo:r_hi], axis=1, count=len(coins.keys))
         live = bits.view(bool)[:, cols]
-    n_comp, flat = _label_rows(n, eu, ev, live)
+    if prev is None:
+        n_comp, flat = _label_rows(n, eu, ev, live)
+    else:
+        n_comp, flat = _merge_rows(prev[r_lo:r_hi], eu, ev, live)
     lab = flat.astype(np.int32).reshape(b, n)
     counts = np.bincount(flat)[lab]
     giant = counts.sum(axis=1) > n * n / 2
@@ -230,6 +279,7 @@ def build_ensemble(
     seed: int,
     workers: int = 1,
     coins: Coins | None = None,
+    below: SampleEnsemble | None = None,
 ) -> tuple[SampleEnsemble, AccessEstimate]:
     """Build R live-edge samples and the resulting access counters.
 
@@ -239,6 +289,10 @@ def build_ensemble(
     as ``ens.coins``. Passing the coins of an earlier build at the same
     alpha, R and seed on a graph holding all of g's edges labels those
     instead of drawing again; the result is identical to a fresh build.
+    Passing an earlier ensemble ``below`` of g or a subgraph of g (same n,
+    R and seed, alpha at most this one) labels each block on below's
+    components, which the coupling makes a refinement of this build's; the
+    counters and the label partition are identical to a fresh build's.
     """
     alpha = validate_alpha(alpha)
     if R < 1:
@@ -264,10 +318,21 @@ def build_ensemble(
             and np.array_equal(coins.keys[cols], keys)
         ):
             raise ValueError("coins were drawn for another alpha, seed, R or edge set")
+    prev = None
+    if below is not None:
+        if not (
+            (below.n, below.seed, below.R) == (n, seed, R)
+            and below.alpha <= alpha
+            and below.edges <= edges
+        ):
+            raise ValueError(
+                "below was built for another n, seed or R, a higher alpha or edges outside g"
+            )
+        prev = below.labels
     blocks = [(lo, min(lo + _BLOCK, R)) for lo in range(0, R, _BLOCK)]
 
     def run(block: tuple[int, int]):
-        return _accumulate_block(n, g.eu, g.ev, coins, cols, block[0], block[1])
+        return _accumulate_block(n, g.eu, g.ev, coins, cols, block[0], block[1], prev)
 
     same = np.zeros((n, n), dtype=np.int64)
     row_out = np.zeros(n, dtype=np.int64)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reference import ref_write_access_csv
 
 import netaccess as na
+from netaccess import cli
 from netaccess.cli import main
 
 PATH6 = "0 1\n1 2\n2 3\n3 4\n4 5\n"
@@ -74,6 +75,56 @@ def test_multi_alpha_subdirectories(graph_file, tmp_path):
     assert os.path.isdir(os.path.join(out, "alpha_0.7"))
     m3 = json.loads(open(os.path.join(out, "alpha_0.3", "manifest.json")).read())
     assert m3["config"]["alpha"] == 0.3
+
+
+# two components, so --no-lcc keeps a graph whose samples are never connected
+TWO_PARTS = "0 1\n0 2\n1 2\n1 3\n2 4\n3 4\n3 5\n4 6\n5 6\n5 7\n6 7\n10 11\n11 12\n10 12\n"
+
+
+@pytest.mark.parametrize("alphas", ["0.25,0.5,0.8", "0.8,0.4,0.6"])
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_sweep_outputs_equal_single_alpha_runs(tmp_path, monkeypatch, alphas, workers):
+    """Every alpha of a sweep writes the bytes of a run of that alpha alone;
+    each alpha at or above the previous one is labelled on its ensemble."""
+    f = tmp_path / "g.edges"
+    f.write_text(TWO_PARTS)
+    common = ("--input", str(f), "--no-lcc", "--R", "600", "--seed", "5", "--workers", workers)
+    belows = []
+    build = cli.build_ensemble
+
+    def recording_build(*args, below=None, **kwargs):
+        belows.append(None if below is None else below.alpha)
+        return build(*args, below=below, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ensemble", recording_build)
+    sweep = tmp_path / "sweep"
+    assert run("estimate", *common, "--alpha", alphas, "--output-dir", str(sweep)) == 0
+    values = [float(a) for a in alphas.split(",")]
+    assert belows == [None] + [lo if lo <= hi else None for lo, hi in zip(values, values[1:])]
+    for alpha in alphas.split(","):
+        single = tmp_path / f"single_{alpha}"
+        assert run("estimate", *common, "--alpha", alpha, "--output-dir", str(single)) == 0
+        for name in ("access.csv", "advantage.csv"):
+            assert (sweep / f"alpha_{alpha}" / name).read_bytes() == (single / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, extra", [("estimate", ()), ("augment", ("--k", "2"))])
+def test_sweep_is_validated_before_its_first_run(graph_file, tmp_path, capsys, command, extra):
+    out = tmp_path / "o"
+    assert run(command, "--input", graph_file, "--alpha", "0.4,1.5", "--R", "50", *extra,
+               "--output-dir", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: alpha: must lie in (0,1), got 1.5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", ["0.4,0.4", "0.4,0.4000001", "0.3,0.4,0.3"])
+def test_sweep_alphas_sharing_a_directory_exit_2(graph_file, tmp_path, capsys, alphas):
+    out = tmp_path / "o"
+    assert run("estimate", "--input", graph_file, "--alpha", alphas, "--R", "50",
+               "--output-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: alpha: ") and "share the output directory" in err
+    assert not out.exists()
 
 
 def test_no_lcc_keeps_all_components(graph_file, tmp_path):
@@ -448,6 +499,28 @@ def test_oracle_cap_exits_1(tmp_path):
     f = tmp_path / "big.edges"
     f.write_text("".join(f"{i} {i + 1}\n" for i in range(25)))
     assert run("oracle", "--input", str(f), "--output-dir", str(tmp_path / "o")) == 1
+
+
+def test_stability_seeds_past_64_bits_exit_2_before_any_build(graph_file, tmp_path, capsys,
+                                                              monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("stability built an ensemble")
+
+    monkeypatch.setattr("netaccess.sampler.build_ensemble", no_build)
+    out = tmp_path / "o"
+    assert run("stability", "--input", graph_file, "--seed", str(2**64 - 1), "--reps", "2",
+               "--R", "10", "--output-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: seed: stability runs seeds {2**64 - 1}..{2**64}, "
+        "which must lie below 2**64\n"
+    )
+    assert not out.exists()
+    monkeypatch.undo()
+    # a range that ends at 2**64 - 1 is fine, and other commands use one seed
+    assert run("stability", "--input", graph_file, "--seed", str(2**64 - 2), "--reps", "2",
+               "--R", "10", "--output-dir", str(out)) == 0
+    assert run("estimate", "--input", graph_file, "--seed", str(2**64 - 1), "--R", "10",
+               "--output-dir", str(tmp_path / "e")) == 0
 
 
 def test_stability_json(graph_file, tmp_path):

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -437,3 +438,40 @@ def test_removal_on_recorded_coins_equals_fresh_build(g, kind, alpha, seed, R, w
     if g.n >= 3:
         report = na.access_centrality(g, alpha, [c], R=R, seed=seed, workers=workers)[0]
         assert report == _control_report(c, est.p, fresh.p)
+
+
+# --- nested alpha: labelling on a lower alpha's components -----------------
+
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two (R, n) label matrices group every row's nodes alike."""
+    return all(np.array_equal(x[:, None] == x[None, :], y[:, None] == y[None, :])
+               for x, y in zip(a, b))
+
+
+@given(edge_graphs(n_max=7), st.sampled_from(["same", "subgraph", "augmented"]),
+       st.lists(alphas, min_size=3, max_size=3), seeds, st.sampled_from([64, 600]),
+       st.integers(1, 3), st.data())
+def test_build_below_equals_fresh_build(g, start, sweep, seed, R, workers, data):
+    """Each step of an ascending sweep labelled on the previous step's ensemble
+    equals a fresh build: the same counters and the same label partition,
+    label for label unless add_edge_incremental relabelled the start. The
+    start ensemble is one of g, of a subgraph of g, or of a subgraph that
+    add_edge_incremental has grown by the edges of g it lacked."""
+    a1, a2, a3 = sorted(sweep)
+    keep = np.ones(g.m, dtype=bool)
+    if start != "same":
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+    h = replace(g, eu=g.eu[keep], ev=g.ev[keep])
+    below, est = na.build_ensemble(h, a1, R, seed, workers=workers)
+    if start == "augmented":
+        for e in zip(g.eu[~keep].tolist(), g.ev[~keep].tolist()):
+            na.add_edge_incremental(below, est, e)
+    for alpha in (a2, a3):
+        below, est = na.build_ensemble(g, alpha, R, seed, workers=workers, below=below)
+        fresh_ens, fresh = na.build_ensemble(g, alpha, R, seed)
+        assert np.array_equal(est.counters, fresh.counters)
+        assert np.array_equal(below.coins.packed, fresh_ens.coins.packed)
+        if start == "augmented":
+            assert _same_partition(below.labels, fresh_ens.labels)
+        else:
+            assert np.array_equal(below.labels, fresh_ens.labels)

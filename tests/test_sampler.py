@@ -173,6 +173,22 @@ def test_build_rejects_coins_of_another_draw():
             na.build_ensemble(graph, alpha, R, seed, coins=ens.coins)
 
 
+def test_build_rejects_a_below_it_cannot_start_from():
+    g = _graph(b"0 1\n1 2\n2 3\n")
+    ens, est = na.build_ensemble(g, 0.4, 100, 3)
+    na.build_ensemble(g, 0.4, 100, 3, below=ens)  # an equal alpha is accepted
+    na.build_ensemble(g.with_edges([(0, 3)]), 0.6, 100, 3, below=ens)
+    wider = _graph(b"0 1\n1 2\n2 3\n3 4\n")  # holds ens's edges, one node more
+    for alpha, R, seed, graph in ((0.3, 100, 3, g), (0.5, 100, 4, g), (0.5, 99, 3, g),
+                                  (0.5, 100, 3, wider), (0.5, 100, 3, g.without_node_edges(1))):
+        with pytest.raises(ValueError, match="below was built for another"):
+            na.build_ensemble(graph, alpha, R, seed, below=ens)
+    # an ensemble add_edge_incremental has grown holds an edge g lacks
+    na.add_edge_incremental(ens, est, (0, 3))
+    with pytest.raises(ValueError, match="below was built for another"):
+        na.build_ensemble(g, 0.5, 100, 3, below=ens)
+
+
 def test_counters_symmetric_diag_R():
     g = _graph(b"0 1\n1 2\n0 2\n")
     _, est = na.build_ensemble(g, 0.4, 500, 1)
