@@ -31,10 +31,10 @@ def broadcast_all(est: AccessEstimate) -> np.ndarray:
     """Per-node minimum off-diagonal access probability."""
     if est.n < 2:
         raise ValueError("broadcast needs at least 2 nodes")
-    c = est.counters.copy()
-    np.fill_diagonal(c, np.iinfo(np.int32).max)
-    # dividing by R is monotone and correctly rounded: min(c)/R == min(c/R)
-    return c.min(axis=1) / float(est.R)
+    # the diagonal is R and no counter exceeds R, so a row's minimum is its
+    # off-diagonal minimum; dividing by R is monotone and correctly rounded:
+    # min(c)/R == min(c/R)
+    return est.counters.min(axis=1) / float(est.R)
 
 
 def influence_all(est: AccessEstimate) -> np.ndarray:
@@ -47,12 +47,13 @@ def welfare(est: AccessEstimate) -> tuple[float, tuple[int, int]]:
     pair (u, v), u < v."""
     if est.n < 2:
         raise ValueError("welfare needs at least 2 nodes")
-    c = est.counters.copy()
-    np.fill_diagonal(c, np.iinfo(np.int32).max)
+    c = est.counters
     # row-major argmin of a symmetric matrix is the lexicographically
-    # smallest minimizing pair
-    flat = int(np.argmin(c))
-    u, v = divmod(flat, est.n)
+    # smallest minimizing pair; the diagonal (R, the largest counter) is
+    # the first minimum only when every counter is R
+    u, v = divmod(int(np.argmin(c)), est.n)
+    if u == v:
+        return 1.0, (0, 1)
     if u > v:
         u, v = v, u
     return float(c[u, v]) / est.R, (u, v)

@@ -191,7 +191,7 @@ def _cmd_estimate(runs: list[RunConfig]) -> None:
             g, cfg.alpha, cfg.R, cfg.seed, workers=cfg.effective_workers(), below=below
         )
         below = None
-        write_access_csv(est.p, g.orig_ids, _out(cfg, "access.csv"))
+        write_access_csv(est, g.orig_ids, _out(cfg, "access.csv"))
         write_advantage_csv(advantage_report(est), g.orig_ids, _out(cfg, "advantage.csv"))
         if cfg.estimate_out:
             save_estimate(est, g.orig_ids, cfg.alpha, cfg.seed, cfg.estimate_out)
@@ -461,6 +461,12 @@ def _merge_config(args: argparse.Namespace) -> list[RunConfig]:
             alphas = [float(tok) for tok in tokens]
         except ValueError:
             raise ConfigError("alpha", f"could not parse {alpha_raw!r} as float(s)")
+    if cfg.estimate_out and len(alphas) > 1:
+        raise ConfigError(
+            "estimate_out",
+            f"a sweep of {len(alphas)} alphas would write every dump to the one path "
+            f"{cfg.estimate_out}; give a single alpha",
+        )
     if len(alphas) == 1:
         runs = [replace(cfg, alpha=alphas[0])]
     else:

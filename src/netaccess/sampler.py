@@ -39,7 +39,12 @@ of squared component sizes at most n^2/2) every component is a group. In any
 other sample the first largest component is the giant: it is counted through
 its complement, one group of the nodes outside it, beside the other
 components. Inserting an edge adds A^T B and its transpose, A and B being the
-two sides it merges in each sample. Counters are 32-bit, so R < 2**31.
+two sides it merges in each sample. Counters are 32-bit, so R < 2**31, and
+a build accumulates them in 32 bits: every partial sum lies in [-R, R].
+
+An estimate's access values are the R + 1 fractions c/R, so ``access.csv``
+is written from the counters through a table of those values formatted
+once, and each row's bytes are assembled in numpy from padded fields.
 
 The exact oracle labels all 2^m coin outcomes in chunks like sample blocks
 and adds their one-hot product weighted by each outcome's probability.
@@ -249,7 +254,8 @@ def _accumulate_block(
         coins.packed[r_lo:r_hi] = np.packbits(live, axis=1)
     else:
         bits = np.unpackbits(coins.packed[r_lo:r_hi], axis=1, count=len(coins.keys))
-        live = bits.view(bool)[:, cols]
+        # np.take keeps the gather row-major, as _label_rows' np.nonzero walks it
+        live = np.take(bits.view(bool), cols, axis=1)
     if prev is None:
         n_comp, flat = _label_rows(n, eu, ev, live)
     else:
@@ -334,8 +340,8 @@ def build_ensemble(
     def run(block: tuple[int, int]):
         return _accumulate_block(n, g.eu, g.ev, coins, cols, block[0], block[1], prev)
 
-    same = np.zeros((n, n), dtype=np.int64)
-    row_out = np.zeros(n, dtype=np.int64)
+    same = np.zeros((n, n), dtype=np.int32)
+    row_out = np.zeros(n, dtype=np.int32)
     rc = 0
     labels = np.empty((R, n), dtype=np.int32)
     # summing each block as map yields it keeps only unsummed blocks in memory
@@ -346,9 +352,12 @@ def build_ensemble(
             rc += prc
             labels[lo:hi] = plab
 
-    counters = same + (rc - row_out[:, None] - row_out[None, :])
+    # counters = same + rc - out_i - out_j, finished in place: every partial
+    # sum lies in [-R, R], so int32 holds it
+    counters = same
+    counters -= row_out[:, None]
+    counters += (rc - row_out)[None, :]
     np.fill_diagonal(counters, R)
-    counters = counters.astype(np.int32)
     ens = SampleEnsemble(
         n=n, R=R, seed=seed, alpha=alpha, labels=labels, edges=edges, coins=coins
     )
@@ -451,24 +460,53 @@ def stability_check(
     return float(dev.max()), float(dev.mean())
 
 
-def write_access_csv(p: np.ndarray, orig_ids: np.ndarray, path: str) -> None:
-    """CSV "i,j,p" over original ids with i<j, each value exactly f"{p:.6f}".
+def _padded(strings: list[str]) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix, right-padded with 0 bytes."""
+    return np.array([s.encode() for s in strings]).view(np.uint8).reshape(len(strings), -1)
 
-    Each distinct float64 bit pattern of p (at most R+1 for an estimate) is
-    formatted once; keying on bits, not values, keeps -0.0 apart from 0.0.
-    Rows are written one at a time and looked up in that table by
-    searchsorted, so no all-pairs index or string list is held in memory."""
+
+def _value_codes(values: AccessEstimate | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table): an n x n integer matrix and the padded formatted values
+    it indexes, table[codes[i, j]] being f"{p_ij:.6f}\n".
+
+    An estimate's p takes only the values c/R, so its codes are the counters
+    and its table formats c = 0..R, exactly as ``counters / float(R)`` would
+    print (both divisions are correctly rounded). That table is built only
+    when it is shorter than the matrix. Otherwise each distinct float64 bit
+    pattern of p is formatted once; keying on bits, not values, keeps -0.0
+    apart from 0.0."""
+    if isinstance(values, AccessEstimate) and values.R < values.counters.size:
+        R = values.R
+        return values.counters, _padded([f"{c / R:.6f}\n" for c in range(R + 1)])
+    p = values.p if isinstance(values, AccessEstimate) else values
     bits = np.ascontiguousarray(p, dtype=np.float64).view(np.uint64)
-    keys = np.unique(bits)
-    table = [f"{v:.6f}\n" for v in keys.view(np.float64).tolist()]
-    ids = orig_ids.tolist()
-    heads = [f"{b}," for b in ids]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,p\n")
-        for i, a in enumerate(ids):
-            lead = f"{a},"
-            idx = np.searchsorted(keys, bits[i, i + 1 :]).tolist()
-            fh.write("".join([lead + h + table[k] for h, k in zip(heads[i + 1 :], idx)]))
+    keys, codes = np.unique(bits, return_inverse=True)
+    table = _padded([f"{v:.6f}\n" for v in keys.view(np.float64).tolist()])
+    return codes.reshape(bits.shape), table
+
+
+def write_access_csv(
+    values: AccessEstimate | np.ndarray, orig_ids: np.ndarray, path: str
+) -> None:
+    """CSV "i,j,p" over original ids with i<j, each value exactly f"{p:.6f}",
+    from an estimate or any n x n matrix p.
+
+    Each row's bytes are assembled in numpy: one (pairs, W) uint8 array holds
+    the zero-padded fields "a,", "b," and the value looked up in the table of
+    ``_value_codes``. No output byte is 0, so dropping the 0 bytes compacts
+    the fields into the row's text. Rows are written one at a time, so no
+    all-pairs buffer is held."""
+    codes, table = _value_codes(values)
+    heads = _padded([f"{b}," for b in orig_ids.tolist()])
+    n, w = heads.shape
+    with open(path, "wb") as fh:
+        fh.write(b"i,j,p\n")
+        for i in range(n - 1):
+            cells = np.empty((n - 1 - i, 2 * w + table.shape[1]), dtype=np.uint8)
+            cells[:, :w] = heads[i]
+            cells[:, w : 2 * w] = heads[i + 1 :]
+            cells[:, 2 * w :] = table[codes[i, i + 1 :]]
+            fh.write(cells[cells != 0])
 
 
 def save_estimate(est: AccessEstimate, orig_ids: np.ndarray, alpha: float, seed: int, path: str) -> None:

@@ -51,6 +51,29 @@ def test_welfare_pair_lexicographic_on_ties():
     assert pair == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "counters, R, broadcast, welfare",
+    [
+        # every counter R: the diagonal is a minimum too
+        ([[7, 7, 7], [7, 7, 7], [7, 7, 7]], 7, [1.0, 1.0, 1.0], (1.0, (0, 1))),
+        ([[4, 4], [4, 4]], 4, [1.0, 1.0], (1.0, (0, 1))),
+        # one row all R, beside rows with a lower counter
+        ([[5, 5, 4], [5, 5, 5], [4, 5, 5]], 5, [0.8, 1.0, 0.8], (0.8, (0, 2))),
+        ([[10, 6, 3, 9], [6, 10, 3, 10], [3, 3, 10, 5], [9, 10, 5, 10]], 10,
+         [0.3, 0.3, 0.3, 0.5], (0.3, (0, 2))),
+    ],
+)
+def test_broadcast_and_welfare_read_the_diagonal_unmasked(counters, R, broadcast, welfare):
+    """No counter exceeds the diagonal's R, so reading the counters as they
+    are gives the values of masking the diagonal out, and leaves them as
+    they were."""
+    est = _est_from_counters(counters, R)
+    before = est.counters.copy()
+    assert na.broadcast_all(est).tolist() == broadcast
+    assert na.welfare(est) == welfare
+    assert np.array_equal(est.counters, before)
+
+
 def test_broadcast_requires_two_nodes():
     est = _est_from_counters([[5]], 5)
     with pytest.raises(ValueError):

@@ -127,6 +127,23 @@ def test_sweep_alphas_sharing_a_directory_exit_2(graph_file, tmp_path, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_sweep_with_estimate_out_exits_2(graph_file, tmp_path, capsys, via_config):
+    """Every alpha would write its dump to the one path; only the last would survive."""
+    out = tmp_path / "o"
+    dump = tmp_path / "est.bin"
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"estimate_out": str(dump)}))
+        extra = ("--config", str(cfg))
+    else:
+        extra = ("--estimate-out", str(dump))
+    assert run("estimate", "--input", graph_file, "--alpha", "0.3,0.7", "--R", "50",
+               "--output-dir", str(out), *extra) == 2
+    assert capsys.readouterr().err.startswith("config error: estimate_out: a sweep of 2 alphas")
+    assert not out.exists() and not dump.exists()
+
+
 def test_no_lcc_keeps_all_components(graph_file, tmp_path):
     f = tmp_path / "two.edges"
     f.write_text("0 1\n1 2\n8 9\n")

@@ -352,6 +352,40 @@ def test_access_csv_matches_reference_writer(case):
     assert got.count(b"\n") == 1 + len(orig_ids) * (len(orig_ids) - 1) // 2
 
 
+@st.composite
+def access_estimates(draw):
+    """(est, orig_ids): counters in [0, R] with diagonal R, generally not
+    symmetric, R from 1 to 2**31 - 1 (both sides of R = n * n), and distinct
+    ids of mixed digit widths."""
+    n = draw(st.integers(1, 8))
+    R = draw(st.integers(1, 70) | st.integers(1, 2**31 - 1))
+    values = draw(st.lists(st.integers(0, R), min_size=n * n, max_size=n * n))
+    c = np.array(values, dtype=np.int32).reshape(n, n)
+    np.fill_diagonal(c, R)
+    id_widths = st.integers(0, 9) | st.integers(0, 99_999) | st.integers(0, 2**32 - 1)
+    ids = draw(st.lists(id_widths, min_size=n, max_size=n, unique=True))
+    return AccessEstimate(n=n, R=R, counters=c), np.array(ids, dtype=np.int64)
+
+
+def _estimate_case(counters, R, ids):
+    c = np.array(counters, dtype=np.int32)
+    return AccessEstimate(n=len(c), R=R, counters=c), np.array(ids, dtype=np.int64)
+
+
+@settings(max_examples=200)
+@given(access_estimates())
+@example(_estimate_case([[1]], 1, [7]))
+@example(_estimate_case([[3, 0, 1], [3, 3, 2], [0, 0, 3]], 3, [0, 10, 2**32 - 1]))
+@example(_estimate_case([[2**31 - 1, 0], [1, 2**31 - 1]], 2**31 - 1, [5, 123456]))
+@example(_estimate_case([[8, 1, 7], [1, 8, 4], [7, 4, 8]], 8, [9, 10, 100]))
+def test_access_csv_from_estimate_matches_reference_writer(case):
+    """An estimate's counters, looked up in the c/R table or, for R of at
+    least n * n, in p's bit patterns, give the bytes of formatting p."""
+    est, orig_ids = case
+    got = _access_csv_bytes(na.write_access_csv, est, orig_ids)
+    assert got == _access_csv_bytes(ref_write_access_csv, est.p, orig_ids)
+
+
 # --- coins, labelling and shared control coins ------------------------------
 
 coin_alphas = st.one_of(
