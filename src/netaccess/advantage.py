@@ -20,11 +20,15 @@ import numpy as np
 from .graphs import Graph
 from .sampler import (
     AccessEstimate,
-    Coins,
     build_ensemble,
     exact_access_oracle,
     validate_alpha,
 )
+
+# a removal group's nodes have degrees summing to at most this share of m:
+# the larger a group, the fewer subs are labelled, but the more edges its
+# sub lacks and every build on it merges
+_GROUP_SHARE = 1 / 16
 
 
 def broadcast_all(est: AccessEstimate) -> np.ndarray:
@@ -84,10 +88,17 @@ def access_centrality(
     clamp((p_jk - p'_jk) / p_jk, 0, 1) where p' comes from the graph without
     c. cent_star is the mean over the C(n-1, 2) eligible pairs; the
     unnormalized sum is also reported. Pairs with p_jk = 0 contribute 0.
-    The base estimate is computed once and each node costs one removal
-    estimate, which labels the base build's recorded coins with c's edges
-    dropped instead of drawing them again. With exact=True the enumeration
-    oracle replaces sampling (small m only).
+
+    The nodes are taken in order into groups whose degrees total at most
+    ``_GROUP_SHARE`` of m (a node of higher degree is a group of its own).
+    Each group first labels one sub-ensemble of g without every group
+    node's edges. In every sample its components refine both g's and each
+    removal's, so the base estimate (built once) and each node's removal
+    estimate are labelled on them, and only the few edges outside the sub
+    are labelled at all. The sub's pairs are never counted. The removal
+    estimates and every sub after the first label the base build's
+    recorded coins instead of drawing them again. With exact=True the
+    enumeration oracle replaces sampling (small m only).
     """
     alpha = validate_alpha(alpha)
     if g.n < 3:
@@ -95,33 +106,76 @@ def access_centrality(
     for c in nodes:
         if not (0 <= c < g.n):
             raise ValueError(f"node {c} out of range")
+    iu, ju = np.triu_indices(g.n, k=1)
+    if exact:
+        pj = exact_access_oracle(g, alpha)[iu, ju]
+        return [
+            _control_report(c, iu, ju, pj, exact_access_oracle(g.without_node_edges(c), alpha))
+            for c in nodes
+        ]
 
-    def access(graph: Graph, coins: Coins | None = None) -> tuple[np.ndarray, Coins | None]:
-        if exact:
-            return exact_access_oracle(graph, alpha), None
-        ens, est = build_ensemble(graph, alpha, R, seed, workers=workers, coins=coins)
-        return est.p, ens.coins
+    def build(graph: Graph, **kwargs):
+        return build_ensemble(graph, alpha, R, seed, workers=workers, **kwargs)
 
-    p, coins = access(g)
-    return [_control_report(c, p, access(g.without_node_edges(c), coins)[0]) for c in nodes]
+    reports = []
+    coins = pj = None
+    for group in _removal_groups(g, nodes):
+        sub = build(g.without_node_edges(*group), coins=coins, count=False)[0]
+        if coins is None:
+            ens, est = build(g, below=sub)
+            coins, pj = ens.coins, est.counters[iu, ju] / float(R)
+            # only the coins and pair values are read from here on
+            del ens, est
+        for c in group:
+            removed = build(g.without_node_edges(c), coins=coins, below=sub)[1]
+            reports.append(_control_report(c, iu, ju, pj, removed))
+            del removed  # freed before the next removal is built
+    return reports
 
 
-def _control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> ControlReport:
-    """Pair control of node c from the access matrices with and without it."""
-    others = np.array([i for i in range(len(p)) if i != c])
-    iu, ju = np.triu_indices(len(others), k=1)
-    pj = p[others[iu], others[ju]]
-    pr = p_removed[others[iu], others[ju]]
-    nonzero = pj > 0
+def _removal_groups(g: Graph, nodes: list[int]) -> list[list[int]]:
+    """``nodes`` in order, cut into runs whose degrees total at most
+    ``_GROUP_SHARE`` of m, or into a run of one node of higher degree."""
+    deg = np.bincount(np.concatenate([g.eu, g.ev]), minlength=g.n)
+    groups: list[list[int]] = []
+    total = 0
+    for c in nodes:
+        d = int(deg[c])
+        if groups and total + d <= _GROUP_SHARE * g.m:
+            groups[-1].append(c)
+            total += d
+        else:
+            groups.append([c])
+            total = d
+    return groups
+
+
+def _control_report(
+    c: int, iu: np.ndarray, ju: np.ndarray, pj: np.ndarray, removed: AccessEstimate | np.ndarray
+) -> ControlReport:
+    """Pair control of node c from the base's access ``pj`` over the pairs
+    (iu, ju) of ``np.triu_indices(n, 1)`` and the removal's access, given as
+    an estimate or a p matrix. Only the pairs avoiding c are read."""
+    sampled = isinstance(removed, AccessEstimate)
+    matrix = removed.counters if sampled else removed
+    keep = (iu != c) & (ju != c)
+    pj = pj[keep]
+    flat = iu[keep]
+    flat *= len(matrix)
+    flat += ju[keep]
+    pr = np.take(matrix, flat)
+    if sampled:
+        pr = pr / float(removed.R)
     ratio = np.zeros(len(pj))
-    ratio[nonzero] = (pj[nonzero] - pr[nonzero]) / pj[nonzero]
-    clamped = np.clip(ratio, 0.0, 1.0)
+    np.divide(pj - pr, pj, out=ratio, where=pj > 0)
+    np.clip(ratio, 0.0, 1.0, out=ratio)
     n_pairs = len(pj)
+    raw_sum = float(ratio.sum())
     return ControlReport(
         node=c,
-        cent_star=float(clamped.sum() / n_pairs),
-        max_pair_control=float(clamped.max()) if n_pairs else 0.0,
-        raw_sum=float(clamped.sum()),
+        cent_star=raw_sum / n_pairs,
+        max_pair_control=float(ratio.max()) if n_pairs else 0.0,
+        raw_sum=raw_sum,
     )
 
 

@@ -304,8 +304,7 @@ def _cmd_control(cfg: RunConfig) -> None:
     else:
         dense_nodes = list(range(g.n))
         logger.warning(
-            "control over all %d nodes requires %d full estimations; "
-            "pass --nodes to restrict",
+            "control over all %d nodes counts %d estimates; pass --nodes to restrict",
             g.n,
             g.n + 1,
         )

@@ -106,11 +106,11 @@ class Graph:
         )
         return replace(self, eu=eu, ev=ev)
 
-    def without_node_edges(self, c: int) -> "Graph":
-        """Same node set with c's incident edges removed. Dense ids are kept,
-        so the remaining edges draw identical coins and estimates on the two
-        graphs stay coupled."""
-        keep = (self.eu != c) & (self.ev != c)
+    def without_node_edges(self, *nodes: int) -> "Graph":
+        """Same node set with every incident edge of the given nodes removed.
+        Dense ids are kept, so the remaining edges draw identical coins and
+        estimates on the two graphs stay coupled."""
+        keep = ~(np.isin(self.eu, nodes) | np.isin(self.ev, nodes))
         return replace(self, eu=self.eu[keep], ev=self.ev[keep])
 
 

@@ -29,9 +29,13 @@ PRL 85, 4104, 2000). A build can therefore start from an earlier ensemble
 of the same graph or a subgraph at the same seed and R and a lower or equal
 alpha: it still draws its own coins, but labels each block on the quotient
 graph of the earlier block's components, which only the live edges between
-different earlier components enter. The counters are identical to a fresh
-build's, and so are the labels unless insertion relabelled the earlier
-ensemble.
+different earlier components enter. At equal alpha the earlier ensemble's
+edges have the same coins, so each of its live edges already lies inside one
+of its components: only the edges outside it can join components, and only
+those are labelled. Control labels the graph and each node's removal this
+way, on one ensemble of the graph without every queried node's edges. The
+counters are identical to a fresh build's, and so are the labels unless
+insertion relabelled the earlier ensemble.
 
 Co-occurrence is counted as a sparse product G^T G, where G is 0/1 with one
 row per group of nodes and one column per node. In a fragmented sample (sum
@@ -66,6 +70,7 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 512
+_COIN_BYTES = 1 << 20  # uint64 hashes mixed at once; bounds each worker's coin buffer
 ORACLE_EDGE_CAP = 20
 _ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
 
@@ -99,11 +104,20 @@ def _live_rows(edge_hash: np.ndarray, r_lo: int, r_hi: int, alpha: float) -> np.
 
     Edge e is live in sample r iff u = (h >> 11) * 2**-53 < alpha, h being
     the mixed hash. alpha * 2**53 is exact, so that is the integer test
-    h < ceil(alpha * 2**53) << 11, which fits 64 bits for alpha in (0, 1)."""
-    ridx = np.arange(r_lo + 1, r_hi + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = _mix64(edge_hash[None, :] + _GOLDEN * ridx[:, None])
-    return h < np.uint64(math.ceil(alpha * 2**53) << 11)
+    h < ceil(alpha * 2**53) << 11, which fits 64 bits for alpha in (0, 1).
+    The hashes are mixed a chunk of rows at a time, about ``_COIN_BYTES``
+    of uint64, and each chunk's test is written into the result."""
+    m = len(edge_hash)
+    live = np.empty((r_hi - r_lo, m), dtype=bool)
+    threshold = np.uint64(math.ceil(alpha * 2**53) << 11)
+    step = max(1, _COIN_BYTES // (8 * max(m, 1)))
+    for lo in range(r_lo, r_hi, step):
+        hi = min(lo + step, r_hi)
+        ridx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            h = _mix64(edge_hash[None, :] + _GOLDEN * ridx[:, None])
+        np.less(h, threshold, out=live[lo - r_lo : hi - r_lo])
+    return live
 
 
 def validate_alpha(alpha: float) -> float:
@@ -231,31 +245,35 @@ def _accumulate_block(
     r_lo: int,
     r_hi: int,
     prev: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    draw: bool = False,
+    count: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, int]:
     """Label one block of samples and count its pairs as G^T G.
 
-    With ``cols`` None the block's coins are drawn and recorded in
-    ``coins``; otherwise its recorded coins are unpacked and only the edge
-    columns ``cols`` (the edges eu, ev) are kept. With ``prev`` None the
-    block is labelled afresh; otherwise ``prev`` holds an earlier, finer
-    labelling of the same samples and the block is labelled on its
-    components (``_merge_rows``).
+    With ``draw`` the block's coins are drawn and recorded in ``coins``;
+    otherwise its recorded coins are unpacked. Only the coin columns
+    ``cols`` (all of them for None), those of the edges eu, ev, are
+    labelled. With ``prev`` None the block is labelled afresh; otherwise
+    ``prev`` holds an earlier, finer labelling of the same samples and the
+    block is labelled on its components (``_merge_rows``).
 
     G has one row per component of a fragmented sample, one per non-giant
     component of a giant sample, and one per giant sample holding the nodes
     outside its giant. Returns (G^T G, per-node outside-giant counts, the
-    block's component labels, number of giant samples). Labels are unique
-    across the block's rows. All pieces combine across blocks by integer
-    addition, so the result is independent of block scheduling.
+    block's component labels, number of giant samples); without ``count``
+    the first two are None. Labels are unique across the block's rows. All
+    pieces combine across blocks by integer addition, so the result is
+    independent of block scheduling.
     """
     b = r_hi - r_lo
-    if cols is None:
+    if draw:
         live = _live_rows(coins.hashes, r_lo, r_hi, coins.alpha)
         coins.packed[r_lo:r_hi] = np.packbits(live, axis=1)
     else:
-        bits = np.unpackbits(coins.packed[r_lo:r_hi], axis=1, count=len(coins.keys))
+        live = np.unpackbits(coins.packed[r_lo:r_hi], axis=1, count=len(coins.keys)).view(bool)
+    if cols is not None:
         # np.take keeps the gather row-major, as _label_rows' np.nonzero walks it
-        live = np.take(bits.view(bool), cols, axis=1)
+        live = np.take(live, cols, axis=1)
     if prev is None:
         n_comp, flat = _label_rows(n, eu, ev, live)
     else:
@@ -263,6 +281,8 @@ def _accumulate_block(
     lab = flat.astype(np.int32).reshape(b, n)
     counts = np.bincount(flat)[lab]
     giant = counts.sum(axis=1) > n * n / 2
+    if not count:
+        return None, None, lab, int(giant.sum())
     giant_label = lab[np.arange(b), counts.argmax(axis=1)]
     in_giant = giant[:, None] & (lab == giant_label[:, None])
     outside = giant[:, None] & ~in_giant
@@ -286,6 +306,7 @@ def build_ensemble(
     workers: int = 1,
     coins: Coins | None = None,
     below: SampleEnsemble | None = None,
+    count: bool = True,
 ) -> tuple[SampleEnsemble, AccessEstimate]:
     """Build R live-edge samples and the resulting access counters.
 
@@ -298,7 +319,11 @@ def build_ensemble(
     Passing an earlier ensemble ``below`` of g or a subgraph of g (same n,
     R and seed, alpha at most this one) labels each block on below's
     components, which the coupling makes a refinement of this build's; the
-    counters and the label partition are identical to a fresh build's.
+    counters and the label partition are identical to a fresh build's. At
+    below's own alpha only g's edges outside below can join two of its
+    components, so only those are labelled. With ``count`` False the pairs
+    are not counted: only the ensemble is built, and the estimate's
+    counters are an empty (0, 0) array.
     """
     alpha = validate_alpha(alpha)
     if R < 1:
@@ -312,7 +337,8 @@ def build_ensemble(
     # among them raised peak RSS by ~12 MB through heap fragmentation
     edges = set(g.edge_set)
     keys = _edge_keys(g.eu, g.ev)
-    if coins is None:
+    draw = coins is None
+    if draw:
         packed = np.empty((R, (g.m + 7) // 8), dtype=np.uint8)
         coins = Coins(alpha, seed, keys, _edge_hashes(seed, g.eu, g.ev), packed)
         cols = None
@@ -324,6 +350,7 @@ def build_ensemble(
             and np.array_equal(coins.keys[cols], keys)
         ):
             raise ValueError("coins were drawn for another alpha, seed, R or edge set")
+    eu, ev = g.eu, g.ev
     prev = None
     if below is not None:
         if not (
@@ -335,29 +362,40 @@ def build_ensemble(
                 "below was built for another n, seed or R, a higher alpha or edges outside g"
             )
         prev = below.labels
+        if below.alpha == alpha:
+            # below's edges have the same coins here, and each live one
+            # already joins nodes of one of below's components
+            fresh = np.flatnonzero(
+                np.fromiter((e not in below.edges for e in zip(eu.tolist(), ev.tolist())),
+                            dtype=bool, count=g.m)
+            )
+            eu, ev = eu[fresh], ev[fresh]
+            cols = fresh if cols is None else cols[fresh]
     blocks = [(lo, min(lo + _BLOCK, R)) for lo in range(0, R, _BLOCK)]
 
     def run(block: tuple[int, int]):
-        return _accumulate_block(n, g.eu, g.ev, coins, cols, block[0], block[1], prev)
+        return _accumulate_block(n, eu, ev, coins, cols, block[0], block[1], prev, draw, count)
 
-    same = np.zeros((n, n), dtype=np.int32)
+    same = np.zeros((n, n) if count else (0, 0), dtype=np.int32)
     row_out = np.zeros(n, dtype=np.int32)
     rc = 0
     labels = np.empty((R, n), dtype=np.int32)
     # summing each block as map yields it keeps only unsummed blocks in memory
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         for (lo, hi), (psame, pout, plab, prc) in zip(blocks, pool.map(run, blocks)):
-            same += psame
-            row_out += pout
-            rc += prc
             labels[lo:hi] = plab
+            if count:
+                same += psame
+                row_out += pout
+                rc += prc
 
     # counters = same + rc - out_i - out_j, finished in place: every partial
     # sum lies in [-R, R], so int32 holds it
     counters = same
-    counters -= row_out[:, None]
-    counters += (rc - row_out)[None, :]
-    np.fill_diagonal(counters, R)
+    if count:
+        counters -= row_out[:, None]
+        counters += (rc - row_out)[None, :]
+        np.fill_diagonal(counters, R)
     ens = SampleEnsemble(
         n=n, R=R, seed=seed, alpha=alpha, labels=labels, edges=edges, coins=coins
     )

@@ -8,7 +8,10 @@ value with its own f-string instead of looking it up in a table of distinct
 bit patterns. The coin reference mixes Python integers and compares a float
 draw with alpha, where the library compares 64-bit hashes with an integer
 threshold. The labelling reference hands scipy a COO matrix to convert and
-check, where the library assembles a CSR matrix from sorted sources.
+check, where the library assembles a CSR matrix from sorted sources. The
+control reference picks each node's pairs through an explicit index of the
+other nodes from two p matrices, where the library masks one triu index of
+all pairs and reads the removal's integer counters.
 """
 from itertools import product
 
@@ -140,6 +143,21 @@ def ref_label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray):
         shape=(b * n, b * n),
     )
     return connected_components(g, directed=False)
+
+
+def ref_control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> tuple[float, float, float]:
+    """(cent_star, max_pair_control, raw_sum) of node c from the access
+    matrices with and without c's edges, over the pairs avoiding c."""
+    others = np.array([i for i in range(len(p)) if i != c])
+    iu, ju = np.triu_indices(len(others), k=1)
+    pj = p[others[iu], others[ju]]
+    pr = p_removed[others[iu], others[ju]]
+    nonzero = pj > 0
+    ratio = np.zeros(len(pj))
+    ratio[nonzero] = (pj[nonzero] - pr[nonzero]) / pj[nonzero]
+    clamped = np.clip(ratio, 0.0, 1.0)
+    max_pair = float(clamped.max()) if len(pj) else 0.0
+    return float(clamped.sum() / len(pj)), max_pair, float(clamped.sum())
 
 
 def random_connected_graph(rng: np.random.Generator, n_max: int = 8, m_max: int = 16):

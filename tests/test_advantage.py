@@ -3,6 +3,8 @@ import pytest
 
 import netaccess as na
 from netaccess import AccessEstimate
+from netaccess.advantage import _removal_groups
+from reference import ref_control_report
 
 
 def _est_from_counters(counters, R):
@@ -182,6 +184,27 @@ def test_control_node_list_matches_single_node_calls():
     reps = na.access_centrality(g, 0.4, nodes, R=600, seed=5)
     assert [r.node for r in reps] == nodes
     assert reps == [na.access_centrality(g, 0.4, [c], R=600, seed=5)[0] for c in nodes]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("alpha", [0.3, 0.8])
+def test_control_groups_match_per_node_full_builds(alpha, workers):
+    # a 40-ring, a hub on half of it and two pendant leaves: m = 62, so a
+    # removal group's degrees total at most 3 and the list spans five groups
+    edges = [(i, (i + 1) % 40) for i in range(40)] + [(40, i) for i in range(20)]
+    edges += [(25, 41), (30, 42)]
+    g = na.load_edge_list("".join(f"{u} {v}\n" for u, v in edges).encode())
+    nodes = [41, 27, 40, 33, 42, 5, 25]  # degrees 1, 2, 20 (the maximum), 2, 1, 3, 3
+    assert _removal_groups(g, nodes) == [[41, 27], [40], [33, 42], [5], [25]]
+    R, seed = 600, 7
+    reps = na.access_centrality(g, alpha, nodes, R=R, seed=seed, workers=workers)
+    p = na.build_ensemble(g, alpha, R, seed)[1].p
+    for c, rep in zip(nodes, reps):
+        p_removed = na.build_ensemble(g.without_node_edges(c), alpha, R, seed)[1].p
+        assert rep.node == c
+        assert (rep.cent_star, rep.max_pair_control, rep.raw_sum) == ref_control_report(
+            c, p, p_removed
+        )
 
 
 # --- csv export -----------------------------------------------------------

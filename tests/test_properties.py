@@ -13,6 +13,7 @@ from reference import (
     ref_label_rows,
     ref_live_rows,
     ref_mix64,
+    ref_control_report,
     ref_pair_counts,
     ref_unmix64,
     ref_write_access_csv,
@@ -22,7 +23,6 @@ from scipy.sparse.csgraph import shortest_path
 import netaccess as na
 from netaccess import AccessEstimate
 from netaccess.graphs import add_edge_distances, argmax_pair, distance_matrix, farthest_pair
-from netaccess.advantage import _control_report
 from netaccess.sampler import _edge_hashes, _label_rows, _live_rows
 
 settings.register_profile("suite", deadline=None, max_examples=30)
@@ -470,8 +470,10 @@ def test_removal_on_recorded_coins_equals_fresh_build(g, kind, alpha, seed, R, w
     assert np.array_equal(view.counters, fresh.counters)
     assert np.array_equal(view_ens.labels, fresh_ens.labels)
     if g.n >= 3:
-        report = na.access_centrality(g, alpha, [c], R=R, seed=seed, workers=workers)[0]
-        assert report == _control_report(c, est.p, fresh.p)
+        rep = na.access_centrality(g, alpha, [c], R=R, seed=seed, workers=workers)[0]
+        assert (rep.cent_star, rep.max_pair_control, rep.raw_sum) == ref_control_report(
+            c, est.p, fresh.p
+        )
 
 
 # --- nested alpha: labelling on a lower alpha's components -----------------
@@ -509,3 +511,36 @@ def test_build_below_equals_fresh_build(g, start, sweep, seed, R, workers, data)
             assert _same_partition(below.labels, fresh_ens.labels)
         else:
             assert np.array_equal(below.labels, fresh_ens.labels)
+
+
+@given(edge_graphs(n_max=7, connected=True), st.sampled_from(["fragmented", "giant"]),
+       st.sampled_from(["drawn", "recorded"]), seeds, st.sampled_from([64, 600]),
+       st.integers(1, 3), st.data())
+def test_build_below_at_equal_alpha_equals_fresh_build(g, regime, coins, seed, R, workers, data):
+    """A build of h on a sub-ensemble of a subgraph of h at the same alpha,
+    which labels only h's edges outside the sub, equals a fresh build of h:
+    the same counters and the same labels. The sub is built without counting
+    its pairs, from drawn coins or from g's recorded coins, and h's build
+    draws its own coins or labels g's."""
+    lo, hi = (0.05, 0.25) if regime == "fragmented" else (0.75, 0.95)
+    alpha = data.draw(st.floats(lo, hi))
+    in_h = np.array(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool)
+    in_sub = in_h & np.array(
+        data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)), dtype=bool
+    )
+    h = replace(g, eu=g.eu[in_h], ev=g.ev[in_h])
+    sub_graph = replace(g, eu=g.eu[in_sub], ev=g.ev[in_sub])
+    drawn = None
+    if coins == "recorded":
+        drawn = na.build_ensemble(g, alpha, R, seed)[0].coins
+    sub, sub_est = na.build_ensemble(
+        sub_graph, alpha, R, seed, workers=workers, coins=drawn, count=False
+    )
+    assert sub_est.counters.shape == (0, 0)
+    assert np.array_equal(sub.labels, na.build_ensemble(sub_graph, alpha, R, seed)[0].labels)
+    ens, est = na.build_ensemble(h, alpha, R, seed, workers=workers, coins=drawn, below=sub)
+    fresh_ens, fresh = na.build_ensemble(h, alpha, R, seed)
+    assert np.array_equal(est.counters, fresh.counters)
+    assert np.array_equal(ens.labels, fresh_ens.labels)
+    if coins == "drawn":
+        assert np.array_equal(ens.coins.packed, fresh_ens.coins.packed)
