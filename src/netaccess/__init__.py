@@ -22,7 +22,6 @@ from .advantage import (
 from .evaluation import (
     DistributionSummary,
     GapReport,
-    compare_runs,
     distribution_summary,
     gap_report,
     metrics_bundle,
@@ -82,7 +81,6 @@ __all__ = [
     "advantage_report",
     "broadcast_all",
     "build_ensemble",
-    "compare_runs",
     "distribution_summary",
     "exact_access_oracle",
     "gap_report",

@@ -95,10 +95,8 @@ def access_centrality(
     node's edges. In every sample its components refine both g's and each
     removal's, so the base estimate (built once) and each node's removal
     estimate are labelled on them, and only the few edges outside the sub
-    are labelled at all. The sub's pairs are never counted. The removal
-    estimates and every sub after the first label the base build's
-    recorded coins instead of drawing them again. With exact=True the
-    enumeration oracle replaces sampling (small m only).
+    are drawn and labelled at all. The sub's pairs are never counted. With
+    exact=True the enumeration oracle replaces sampling (small m only).
     """
     alpha = validate_alpha(alpha)
     if g.n < 3:
@@ -118,16 +116,13 @@ def access_centrality(
         return build_ensemble(graph, alpha, R, seed, workers=workers, **kwargs)
 
     reports = []
-    coins = pj = None
+    pj = None
     for group in _removal_groups(g, nodes):
-        sub = build(g.without_node_edges(*group), coins=coins, count=False)[0]
-        if coins is None:
-            ens, est = build(g, below=sub)
-            coins, pj = ens.coins, est.counters[iu, ju] / float(R)
-            # only the coins and pair values are read from here on
-            del ens, est
+        sub = build(g.without_node_edges(*group), count=False)[0]
+        if pj is None:
+            pj = build(g, below=sub)[1].counters[iu, ju] / float(R)
         for c in group:
-            removed = build(g.without_node_edges(c), coins=coins, below=sub)[1]
+            removed = build(g.without_node_edges(c), below=sub)[1]
             reports.append(_control_report(c, iu, ju, pj, removed))
             del removed  # freed before the next removal is built
     return reports

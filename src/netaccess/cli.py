@@ -181,6 +181,9 @@ def _cmd_estimate(runs: list[RunConfig]) -> None:
     is written and finished before the next is built, so at most two
     ensembles are alive at once."""
     g, sha = _load_graph(runs[0])
+    if g.n < 2:
+        # checked before access.csv is written: advantage.csv needs a pair
+        raise ValueError(f"estimate needs at least 2 nodes, got n={g.n}")
     ens = None
     for cfg in runs:
         below = ens if ens is not None and ens.alpha <= cfg.alpha else None
@@ -289,7 +292,7 @@ def _cmd_stability(cfg: RunConfig) -> None:
 
 def _cmd_control(cfg: RunConfig) -> None:
     g, sha = _load_graph(cfg)
-    if cfg.nodes:
+    if cfg.nodes is not None:
         try:
             requested = [int(tok) for tok in cfg.nodes.split(",")]
         except ValueError:

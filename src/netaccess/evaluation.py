@@ -180,52 +180,3 @@ def metrics_bundle(
             "max_value": sig_max,
         },
     }
-
-
-def _delta(before: float | None, after: float | None) -> dict:
-    out: dict = {"before": before, "after": after}
-    if before is None or after is None:
-        out["absolute_change"] = None
-        out["percent_change"] = None
-        return out
-    out["absolute_change"] = after - before
-    out["percent_change"] = ((after - before) / before * 100.0) if before != 0 else None
-    return out
-
-
-def compare_runs(before: dict, after: dict) -> dict:
-    """Absolute and percentage change between two metric bundles.
-
-    Both bundles must agree on the estimation config (same graph hash,
-    alpha, R); mismatches raise ValueError.
-    """
-    cb = before.get("config", {})
-    ca = after.get("config", {})
-    for key in ("input_sha256", "alpha", "R"):
-        if key in cb and key in ca and cb[key] != ca[key]:
-            raise ValueError(f"config mismatch on {key!r}: {cb[key]} vs {ca[key]}")
-    out = {
-        "welfare": _delta(before["welfare"]["value"], after["welfare"]["value"]),
-        "min_broadcast": _delta(before["min_broadcast"], after["min_broadcast"]),
-        "min_influence": _delta(before["min_influence"], after["min_influence"]),
-        "gaps": {},
-        "signature_distance_max": _delta(
-            before["signature_distance"]["max_value"],
-            after["signature_distance"]["max_value"],
-        ),
-        "access_distribution": {},
-    }
-    for measure in ("broadcast", "influence"):
-        out["gaps"][measure] = {
-            "absolute": _delta(
-                before["gaps"][measure]["absolute"], after["gaps"][measure]["absolute"]
-            ),
-            "relative": _delta(
-                before["gaps"][measure]["relative"], after["gaps"][measure]["relative"]
-            ),
-        }
-    for field in ("minimum", "p50", "mean", "maximum"):
-        out["access_distribution"][field] = _delta(
-            before["access_distribution"][field], after["access_distribution"][field]
-        )
-    return out

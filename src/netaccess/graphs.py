@@ -239,16 +239,6 @@ def argmax_pair(dist: np.ndarray) -> tuple[int, int]:
     return u, v
 
 
-def farthest_pair(g: Graph) -> tuple[int, int, float]:
-    """BFS from every node; return (u, v, d) attaining the maximum
-    shortest-path distance, lexicographically smallest pair on ties. On
-    disconnected input d is inf and (u, v) the first unreachable pair."""
-    dist = distance_matrix(g)
-    u, v = argmax_pair(dist)
-    d = int(dist[u, v])
-    return u, v, float(d) if d < g.n else np.inf
-
-
 def write_edge_list(g: Graph, path: str) -> None:
     """Write the canonical edge list using original node ids."""
     orig = g.orig_ids

@@ -13,10 +13,9 @@ only merge components, never split them, and an incrementally updated
 ensemble is bit-identical to one rebuilt from scratch on the larger graph.
 The coin is live iff the mixed hash h, read as the uniform draw
 (h >> 11) * 2**-53, lies below alpha; it is tested as the equivalent
-integer rule h < ceil(alpha * 2**53) << 11. A build records its coins
-packed one bit per edge (``Coins``), and the build of a subgraph, such as
-control's removal of a node's edges, labels those instead of drawing again:
-the subgraph's own draw would give the same coins for its edges.
+integer rule h < ceil(alpha * 2**53) << 11. A build draws the coins of
+exactly the edges it labels; a subgraph's own draw gives the same coins
+for its edges as the full graph's would.
 
 Samples are labelled in blocks, as one disjoint union per block. A graph's
 edges are sorted by eu, so the block's live edges in row-major order have
@@ -32,10 +31,10 @@ graph of the earlier block's components, which only the live edges between
 different earlier components enter. At equal alpha the earlier ensemble's
 edges have the same coins, so each of its live edges already lies inside one
 of its components: only the edges outside it can join components, and only
-those are labelled. Control labels the graph and each node's removal this
-way, on one ensemble of the graph without every queried node's edges. The
-counters are identical to a fresh build's, and so are the labels unless
-insertion relabelled the earlier ensemble.
+their coins are drawn and labelled. Control labels the graph and each
+node's removal this way, on one ensemble of the graph without every
+queried node's edges. The counters are identical to a fresh build's, and
+so are the labels unless insertion relabelled the earlier ensemble.
 
 Co-occurrence is counted as a sparse product G^T G, where G is 0/1 with one
 row per group of nodes and one column per node. In a fragmented sample (sum
@@ -89,14 +88,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _edge_keys(eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Canonical 64-bit edge keys (u << 32) | v; ascending for a Graph's edges."""
-    return (eu.astype(np.uint64) << np.uint64(32)) | ev.astype(np.uint64)
-
-
 def _edge_hashes(seed: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Per-edge 64-bit base hash from the seed and canonical (u, v) key."""
-    return _mix64(_mix64(np.array([seed], dtype=np.uint64)) ^ _mix64(_edge_keys(eu, ev)))
+    """Per-edge 64-bit base hash from the seed and canonical edge key (u << 32) | v."""
+    keys = (eu.astype(np.uint64) << np.uint64(32)) | ev.astype(np.uint64)
+    return _mix64(_mix64(np.array([seed], dtype=np.uint64)) ^ _mix64(keys))
 
 
 def _live_rows(edge_hash: np.ndarray, r_lo: int, r_hi: int, alpha: float) -> np.ndarray:
@@ -126,25 +121,6 @@ def validate_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-@dataclass(frozen=True)
-class Coins:
-    """Every live/dead coin of one build, recorded so a subgraph's build can
-    label the same samples without drawing them again.
-
-    A coin depends only on (seed, edge key, sample), so the build of any
-    subgraph of the drawn edges, at the same alpha, seed and R, would draw
-    exactly these coins for its edges. ``packed`` holds the (R, m) live
-    matrix over the edges with ascending keys ``keys``, packed along edges
-    with np.packbits; the drawing build fills it block by block.
-    """
-
-    alpha: float
-    seed: int
-    keys: np.ndarray
-    hashes: np.ndarray
-    packed: np.ndarray
-
-
 @dataclass
 class SampleEnsemble:
     """R coupled live-edge samples stored as per-sample component labels.
@@ -155,8 +131,6 @@ class SampleEnsemble:
     and insertion keeps). ``edges`` tracks the current canonical edge set:
     incremental insertion rejects duplicates against it and adds to it, so
     it is the augmented graph's edge set.
-    ``coins`` are the coins the samples were labelled from; insertion draws
-    the new edge's coins itself and does not add them.
     """
 
     n: int
@@ -165,7 +139,6 @@ class SampleEnsemble:
     alpha: float
     labels: np.ndarray
     edges: set[tuple[int, int]]
-    coins: Coins
 
 
 @dataclass
@@ -240,22 +213,19 @@ def _accumulate_block(
     n: int,
     eu: np.ndarray,
     ev: np.ndarray,
-    coins: Coins,
-    cols: np.ndarray | None,
+    hashes: np.ndarray,
+    alpha: float,
     r_lo: int,
     r_hi: int,
     prev: np.ndarray | None = None,
-    draw: bool = False,
     count: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, int]:
-    """Label one block of samples and count its pairs as G^T G.
+    """Draw the coins of one block of samples for the edges eu, ev (base
+    hashes ``hashes``), label the block and count its pairs as G^T G.
 
-    With ``draw`` the block's coins are drawn and recorded in ``coins``;
-    otherwise its recorded coins are unpacked. Only the coin columns
-    ``cols`` (all of them for None), those of the edges eu, ev, are
-    labelled. With ``prev`` None the block is labelled afresh; otherwise
-    ``prev`` holds an earlier, finer labelling of the same samples and the
-    block is labelled on its components (``_merge_rows``).
+    With ``prev`` None the block is labelled afresh; otherwise ``prev``
+    holds an earlier, finer labelling of the same samples and the block is
+    labelled on its components (``_merge_rows``).
 
     G has one row per component of a fragmented sample, one per non-giant
     component of a giant sample, and one per giant sample holding the nodes
@@ -266,14 +236,7 @@ def _accumulate_block(
     independent of block scheduling.
     """
     b = r_hi - r_lo
-    if draw:
-        live = _live_rows(coins.hashes, r_lo, r_hi, coins.alpha)
-        coins.packed[r_lo:r_hi] = np.packbits(live, axis=1)
-    else:
-        live = np.unpackbits(coins.packed[r_lo:r_hi], axis=1, count=len(coins.keys)).view(bool)
-    if cols is not None:
-        # np.take keeps the gather row-major, as _label_rows' np.nonzero walks it
-        live = np.take(live, cols, axis=1)
+    live = _live_rows(hashes, r_lo, r_hi, alpha)
     if prev is None:
         n_comp, flat = _label_rows(n, eu, ev, live)
     else:
@@ -304,7 +267,6 @@ def build_ensemble(
     R: int,
     seed: int,
     workers: int = 1,
-    coins: Coins | None = None,
     below: SampleEnsemble | None = None,
     count: bool = True,
 ) -> tuple[SampleEnsemble, AccessEstimate]:
@@ -312,18 +274,15 @@ def build_ensemble(
 
     Cost is O(R m) for coins plus near-linear component labeling per sample.
     Results are bit-identical for any ``workers`` value: blocks are disjoint
-    and partial counters merge by integer addition. The coins drawn are kept
-    as ``ens.coins``. Passing the coins of an earlier build at the same
-    alpha, R and seed on a graph holding all of g's edges labels those
-    instead of drawing again; the result is identical to a fresh build.
-    Passing an earlier ensemble ``below`` of g or a subgraph of g (same n,
-    R and seed, alpha at most this one) labels each block on below's
-    components, which the coupling makes a refinement of this build's; the
-    counters and the label partition are identical to a fresh build's. At
-    below's own alpha only g's edges outside below can join two of its
-    components, so only those are labelled. With ``count`` False the pairs
-    are not counted: only the ensemble is built, and the estimate's
-    counters are an empty (0, 0) array.
+    and partial counters merge by integer addition. Passing an earlier
+    ensemble ``below`` of g or a subgraph of g (same n, R and seed, alpha
+    at most this one) labels each block on below's components, which the
+    coupling makes a refinement of this build's; the counters and the label
+    partition are identical to a fresh build's. At below's own alpha only
+    g's edges outside below can join two of its components, so only their
+    coins are drawn and labelled. With ``count`` False the pairs are not
+    counted: only the ensemble is built, and the estimate's counters are an
+    empty (0, 0) array.
     """
     alpha = validate_alpha(alpha)
     if R < 1:
@@ -336,20 +295,6 @@ def build_ensemble(
     # taken before the n x n arrays exist: a first build of g.edge_set
     # among them raised peak RSS by ~12 MB through heap fragmentation
     edges = set(g.edge_set)
-    keys = _edge_keys(g.eu, g.ev)
-    draw = coins is None
-    if draw:
-        packed = np.empty((R, (g.m + 7) // 8), dtype=np.uint8)
-        coins = Coins(alpha, seed, keys, _edge_hashes(seed, g.eu, g.ev), packed)
-        cols = None
-    else:
-        cols = np.searchsorted(coins.keys, keys)
-        if not (
-            (coins.alpha, coins.seed, len(coins.packed)) == (alpha, seed, R)
-            and (cols < len(coins.keys)).all()
-            and np.array_equal(coins.keys[cols], keys)
-        ):
-            raise ValueError("coins were drawn for another alpha, seed, R or edge set")
     eu, ev = g.eu, g.ev
     prev = None
     if below is not None:
@@ -365,16 +310,16 @@ def build_ensemble(
         if below.alpha == alpha:
             # below's edges have the same coins here, and each live one
             # already joins nodes of one of below's components
-            fresh = np.flatnonzero(
-                np.fromiter((e not in below.edges for e in zip(eu.tolist(), ev.tolist())),
-                            dtype=bool, count=g.m)
+            fresh = np.fromiter(
+                (e not in below.edges for e in zip(eu.tolist(), ev.tolist())),
+                dtype=bool, count=g.m,
             )
             eu, ev = eu[fresh], ev[fresh]
-            cols = fresh if cols is None else cols[fresh]
+    hashes = _edge_hashes(seed, eu, ev)
     blocks = [(lo, min(lo + _BLOCK, R)) for lo in range(0, R, _BLOCK)]
 
     def run(block: tuple[int, int]):
-        return _accumulate_block(n, eu, ev, coins, cols, block[0], block[1], prev, draw, count)
+        return _accumulate_block(n, eu, ev, hashes, alpha, block[0], block[1], prev, count)
 
     same = np.zeros((n, n) if count else (0, 0), dtype=np.int32)
     row_out = np.zeros(n, dtype=np.int32)
@@ -397,7 +342,7 @@ def build_ensemble(
         counters += (rc - row_out)[None, :]
         np.fill_diagonal(counters, R)
     ens = SampleEnsemble(
-        n=n, R=R, seed=seed, alpha=alpha, labels=labels, edges=edges, coins=coins
+        n=n, R=R, seed=seed, alpha=alpha, labels=labels, edges=edges
     )
     return ens, AccessEstimate(n=n, R=R, counters=counters)
 
@@ -486,6 +431,8 @@ def stability_check(
     """
     if reps < 2:
         raise ValueError(f"reps must be at least 2, got {reps}")
+    if g.n < 2:
+        raise ValueError(f"stability needs at least 2 nodes, got n={g.n}")
     pmin = None
     pmax = None
     for rep in range(reps):

@@ -610,6 +610,34 @@ def test_control_repeated_node_exits_2(tmp_path, capsys):
     assert not (out / "control.csv").exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_control_empty_nodes_exits_2(tmp_path, capsys, via_config):
+    """An empty node list is malformed, not a request for every node."""
+    f = tmp_path / "p.edges"
+    f.write_text("0 1\n1 2\n2 3\n")
+    out = tmp_path / "o"
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nodes": ""}))
+        extra = ("--config", str(cfg))
+    else:
+        extra = ("--nodes", "")
+    assert run("control", "--input", str(f), "--R", "100", "--output-dir", str(out), *extra) == 2
+    assert "nodes: expected comma-separated integers, got ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [("estimate", ()), ("stability", ("--reps", "2"))])
+def test_fewer_than_two_nodes_exit_1_before_any_output(tmp_path, capsys, command, extra):
+    # the largest component of a lone self-loop is one node
+    f = tmp_path / "one.edges"
+    f.write_text("0 0\n")
+    out = tmp_path / "o"
+    assert run(command, "--input", str(f), "--R", "10", "--output-dir", str(out), *extra) == 1
+    assert capsys.readouterr().err == f"error: {command} needs at least 2 nodes, got n=1\n"
+    assert not out.exists()
+
+
 # --- console entry point --------------------------------------------------
 
 def test_console_script_runs(graph_file, tmp_path):

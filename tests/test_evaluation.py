@@ -147,27 +147,3 @@ def test_metrics_bundle_maps_nodes_to_original_ids():
     bundle = na.metrics_bundle(est, g.orig_ids, {}, k=0)
     assert set(bundle["welfare"]["pair"]) <= {10, 20, 30}
     assert bundle["gaps"]["broadcast"]["argmin_node"] in (10, 20, 30)
-
-
-# --- run comparison -------------------------------------------------------
-
-
-def _bundle(k, alpha=0.5, seed=0):
-    g = na.load_edge_list(b"0 1\n1 2\n2 3\n")
-    _, est = na.build_ensemble(g, alpha, 400, seed)
-    return na.metrics_bundle(est, g.orig_ids, {"alpha": alpha, "R": 400}, k=k)
-
-
-def test_compare_runs_reports_deltas():
-    before = _bundle(0)
-    after = _bundle(10, seed=1)
-    diff = na.compare_runs(before, after)
-    w = diff["welfare"]
-    assert w["before"] == before["welfare"]["value"]
-    assert w["after"] == after["welfare"]["value"]
-    assert abs(w["absolute_change"] - (w["after"] - w["before"])) < 1e-12
-
-
-def test_compare_runs_rejects_config_mismatch():
-    with pytest.raises(ValueError):
-        na.compare_runs(_bundle(0, alpha=0.5), _bundle(0, alpha=0.4))

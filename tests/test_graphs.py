@@ -8,7 +8,7 @@ from netaccess import (
     load_edge_list,
     write_edge_list,
 )
-from netaccess.graphs import distance_matrix, farthest_pair
+from netaccess.graphs import argmax_pair, distance_matrix
 
 
 def test_basic_parse():
@@ -134,21 +134,24 @@ def test_lcc_isolated_self_loop_node_dropped():
 
 def test_diameter_pair_path():
     g = load_edge_list(b"0 1\n1 2\n2 3\n")
-    assert farthest_pair(g) == (0, 3, 3.0)
+    dist = distance_matrix(g)
+    assert argmax_pair(dist) == (0, 3) and dist[0, 3] == 3
 
 
 def test_diameter_pair_tie_lexicographic():
     # C4: all opposite pairs at distance 2; (0,2) is the smallest
     g = load_edge_list(b"0 1\n1 2\n2 3\n0 3\n")
-    assert farthest_pair(g) == (0, 2, 2.0)
+    dist = distance_matrix(g)
+    assert argmax_pair(dist) == (0, 2) and dist[0, 2] == 2
 
 
 def test_farthest_pair_disconnected_is_first_unreachable_pair():
-    # the augmentation heuristics join such a pair first
+    # the distance matrix marks unreachable pairs with the sentinel n, so the
+    # augmentation heuristics join the first such pair first
     g = load_edge_list(b"0 1\n1 2\n3 4\n")
-    assert farthest_pair(g) == (0, 3, np.inf)
-    # the distance matrix marks unreachable pairs with the sentinel n
-    assert distance_matrix(g)[0].tolist() == [0, 1, 2, 5, 5]
+    dist = distance_matrix(g)
+    assert dist[0].tolist() == [0, 1, 2, 5, 5]
+    assert argmax_pair(dist) == (0, 3)
 
 
 def test_write_then_load_round_trip(tmp_path):

@@ -1,5 +1,4 @@
 import struct
-import sys
 
 import numpy as np
 import pytest
@@ -138,9 +137,10 @@ def test_build_counts_match_reference_union_find():
     g = _graph(b"0 1\n1 2\n2 3\n3 4\n0 4\n")
     R = 300
     ens, est = na.build_ensemble(g, 0.5, R, 0)
-    *_, giant_rows = _accumulate_block(g.n, g.eu, g.ev, ens.coins, None, 0, R)
+    eh = _edge_hashes(0, g.eu, g.ev)
+    *_, giant_rows = _accumulate_block(g.n, g.eu, g.ev, eh, 0.5, 0, R)
     assert 0 < giant_rows < R
-    live = _live_rows(_edge_hashes(0, g.eu, g.ev), 0, R, 0.5)
+    live = _live_rows(eh, 0, R, 0.5)
     expect = ref_pair_counts(g.n, list(zip(g.eu.tolist(), g.ev.tolist())), live)
     assert np.array_equal(est.counters, expect)
     na.add_edge_incremental(ens, est, (0, 2))
@@ -160,17 +160,6 @@ def test_build_multi_block_counts_match_reference():
     live = _live_rows(eh, 0, R, 0.5)
     expect = ref_pair_counts(3, [(0, 1), (1, 2)], live)
     assert np.array_equal(est.counters, expect)
-
-
-def test_build_rejects_coins_of_another_draw():
-    g = _graph(b"0 1\n1 2\n2 3\n")
-    ens, _ = na.build_ensemble(g, 0.4, 100, 3)
-    h = g.without_node_edges(1)
-    na.build_ensemble(h, 0.4, 100, 3, coins=ens.coins)
-    for alpha, R, seed, graph in ((0.5, 100, 3, h), (0.4, 99, 3, h), (0.4, 100, 4, h),
-                                  (0.4, 100, 3, g.with_edges([(0, 3)]))):
-        with pytest.raises(ValueError, match="coins were drawn for another"):
-            na.build_ensemble(graph, alpha, R, seed, coins=ens.coins)
 
 
 def test_build_rejects_a_below_it_cannot_start_from():
@@ -206,22 +195,6 @@ def test_worker_count_does_not_change_counters():
             base = est.counters
         else:
             assert np.array_equal(base, est.counters)
-
-
-def test_recorded_coins_identical_across_worker_counts():
-    # worker threads write disjoint rows of one packed array; more workers
-    # than cores and a short switch interval give lost writes a chance
-    g = _graph(b"0 1\n1 2\n2 3\n3 4\n0 4\n1 3\n")
-    R = 9 * 512 + 7
-    want = np.packbits(_live_rows(_edge_hashes(5, g.eu, g.ev), 0, R, 0.35), axis=1)
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for workers in (1, 8):
-            ens, _ = na.build_ensemble(g, 0.35, R, 5, workers=workers)
-            assert np.array_equal(ens.coins.packed, want)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_builds_are_deterministic():
