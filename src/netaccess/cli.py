@@ -148,7 +148,10 @@ def _finish(cfg: RunConfig, input_sha: str | None, summary: str) -> None:
     print(f"{cfg.command}: {summary} -> {cfg.output_dir}")
 
 
-def _load_graph(cfg: RunConfig) -> tuple[Graph, str]:
+def _load_graph(cfg: RunConfig, min_nodes: int = 2) -> tuple[Graph, str]:
+    """The input graph (its largest component unless --no-lcc) and its
+    hash. A graph of fewer than ``min_nodes`` nodes is refused before any
+    work or output: the sampling commands need a pair."""
     if cfg.input is None:
         raise ConfigError("input", "an input edge list is required")
     sha = _sha256(cfg.input)
@@ -156,7 +159,13 @@ def _load_graph(cfg: RunConfig) -> tuple[Graph, str]:
         g = load_edge_list(fh.read())
     if cfg.lcc:
         g = largest_connected_component(g)
+    _require_nodes(cfg, g.n, min_nodes)
     return g, sha
+
+
+def _require_nodes(cfg: RunConfig, n: int, min_nodes: int) -> None:
+    if n < min_nodes:
+        raise ValueError(f"{cfg.command} needs at least {min_nodes} nodes, got n={n}")
 
 
 def _write_bundle(
@@ -181,9 +190,6 @@ def _cmd_estimate(runs: list[RunConfig]) -> None:
     is written and finished before the next is built, so at most two
     ensembles are alive at once."""
     g, sha = _load_graph(runs[0])
-    if g.n < 2:
-        # checked before access.csv is written: advantage.csv needs a pair
-        raise ValueError(f"estimate needs at least 2 nodes, got n={g.n}")
     ens = None
     for cfg in runs:
         below = ens if ens is not None and ens.alpha <= cfg.alpha else None
@@ -254,6 +260,7 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
     if cfg.estimate_in:
         sha = _sha256(cfg.estimate_in)
         est, orig_ids, alpha, _ = load_estimate(cfg.estimate_in)
+        _require_nodes(cfg, est.n, 2)
         # the dump fixes alpha and R; this run's echo reports them
         cfg = replace(cfg, alpha=alpha, R=est.R)
     else:
@@ -265,7 +272,7 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
 
 
 def _cmd_oracle(cfg: RunConfig) -> None:
-    g, sha = _load_graph(cfg)
+    g, sha = _load_graph(cfg, min_nodes=1)
     p = exact_access_oracle(g, cfg.alpha)
     write_access_csv(p, g.orig_ids, _out(cfg, "access.csv"))
     _finish(cfg, sha, f"n={g.n} m={g.m} exact matrix")
@@ -291,7 +298,7 @@ def _cmd_stability(cfg: RunConfig) -> None:
 
 
 def _cmd_control(cfg: RunConfig) -> None:
-    g, sha = _load_graph(cfg)
+    g, sha = _load_graph(cfg, min_nodes=1)
     if cfg.nodes is not None:
         try:
             requested = [int(tok) for tok in cfg.nodes.split(",")]
@@ -304,7 +311,10 @@ def _cmd_control(cfg: RunConfig) -> None:
             if g.label_map[orig] in dense_nodes:
                 raise ConfigError("nodes", f"node {orig} is listed more than once")
             dense_nodes.append(g.label_map[orig])
-    else:
+    # a node's control needs a pair of other nodes; checked after --nodes,
+    # a config error, and before the all-nodes warning
+    _require_nodes(cfg, g.n, 3)
+    if cfg.nodes is None:
         dense_nodes = list(range(g.n))
         logger.warning(
             "control over all %d nodes counts %d estimates; pass --nodes to restrict",

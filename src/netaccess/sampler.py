@@ -17,9 +17,16 @@ integer rule h < ceil(alpha * 2**53) << 11. A build draws the coins of
 exactly the edges it labels; a subgraph's own draw gives the same coins
 for its edges as the full graph's would.
 
-Samples are labelled in blocks, as one disjoint union per block. A graph's
-edges are sorted by eu, so the block's live edges in row-major order have
-sorted sources and are handed to scipy as a CSR matrix without conversion.
+Samples are drawn in blocks of 512 and each block is labelled as the
+disjoint union of its samples, a piece of consecutive samples at a time: a
+piece holds at most ``_LABEL_CELLS`` nodes plus live edges (or, on an
+earlier ensemble, gathered earlier labels), so a worker's labelling buffers
+do not grow with the block. Each piece's labels are counted on from the
+components of the pieces before it. scipy numbers components in the order
+of their smallest node, so the block's labels are those of one call on the
+whole union, unique across its rows. A graph's edges are sorted by eu, so a
+piece's live edges in row-major order have sorted sources and are handed to
+scipy as a CSR matrix without conversion.
 
 The coin draw does not depend on alpha, so at a1 <= a2 every sample's live
 edges at a1 are a subset of its live edges at a2, and its components at a1
@@ -36,12 +43,15 @@ node's removal this way, on one ensemble of the graph without every
 queried node's edges. The counters are identical to a fresh build's, and
 so are the labels unless insertion relabelled the earlier ensemble.
 
-Co-occurrence is counted as a sparse product G^T G, where G is 0/1 with one
-row per group of nodes and one column per node. In a fragmented sample (sum
-of squared component sizes at most n^2/2) every component is a group. In any
-other sample the first largest component is the giant: it is counted through
-its complement, one group of the nodes outside it, beside the other
-components. Inserting an edge adds A^T B and its transpose, A and B being the
+Co-occurrence is counted as one sparse product G^T G per block, where G is
+0/1 with one row per group of nodes and one column per node; G^T is built as
+a CSR matrix straight from the block's labels, one row per node listing its
+groups. In a fragmented sample (sum of squared component sizes at most
+n^2/2) every component of two or more nodes is a group: a lone node would
+add only to the diagonal, which is R anyway. In any other sample the first
+largest component is the giant: it is counted through its complement, one
+group of the nodes outside it, beside the other components of two or more
+nodes. Inserting an edge adds A^T B and its transpose, A and B being the
 two sides it merges in each sample. Counters are 32-bit, so R < 2**31, and
 a build accumulates them in 32 bits: every partial sum lies in [-R, R].
 
@@ -70,6 +80,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 512
 _COIN_BYTES = 1 << 20  # uint64 hashes mixed at once; bounds each worker's coin buffer
+_LABEL_CELLS = 1 << 18  # nodes plus live edges per labelling call; bounds its buffers
 ORACLE_EDGE_CAP = 20
 _ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
 
@@ -188,11 +199,13 @@ def _merge_rows(
     the same rows, unique across rows as a block's labels are.
 
     The live edges between different earlier components become edges
-    between earlier labels, and the components of that quotient graph are
-    composed with ``prev``. scipy numbers components in the order of their
-    smallest node, so for an earlier labelling that scipy made, quotient
-    components come in the order of their smallest node too and the result
-    equals ``_label_rows`` label for label."""
+    between earlier labels, counted from the smallest one, and the
+    components of that quotient graph are composed with ``prev``. scipy
+    numbers components in the order of their smallest node, so for an
+    earlier labelling that scipy made, quotient components come in the
+    order of their smallest node too and the result equals ``_label_rows``
+    label for label."""
+    prev = prev - prev.min()
     # np.take keeps the gathers row-major like ``live``; prev[:, eu] would
     # not, and every elementwise step below would then run strided
     src = np.take(prev, eu, axis=1)
@@ -207,6 +220,20 @@ def _merge_rows(
     del src, dst
     n_comp, merged = connected_components(quotient, directed=False)
     return n_comp, merged[prev.ravel()]
+
+
+def _pieces(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive row ranges covering ``cost`` (one entry per row), each
+    costing at most ``_LABEL_CELLS`` in all unless it is a single row."""
+    ends = np.cumsum(cost)
+    pieces = []
+    lo = 0
+    while lo < len(ends):
+        spent = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, spent + _LABEL_CELLS, side="right")))
+        pieces.append((lo, hi))
+        lo = hi
+    return pieces
 
 
 def _accumulate_block(
@@ -225,39 +252,61 @@ def _accumulate_block(
 
     With ``prev`` None the block is labelled afresh; otherwise ``prev``
     holds an earlier, finer labelling of the same samples and the block is
-    labelled on its components (``_merge_rows``).
+    labelled on its components (``_merge_rows``). Either way the rows are
+    labelled in pieces of at most ``_LABEL_CELLS`` nodes plus live edges or
+    gathered ``prev`` cells, each piece's labels counted on from the
+    components of the pieces before it: that is the labelling of the whole
+    block in one call, label for label.
 
-    G has one row per component of a fragmented sample, one per non-giant
-    component of a giant sample, and one per giant sample holding the nodes
-    outside its giant. Returns (G^T G, per-node outside-giant counts, the
-    block's component labels, number of giant samples); without ``count``
-    the first two are None. Labels are unique across the block's rows. All
-    pieces combine across blocks by integer addition, so the result is
-    independent of block scheduling.
+    G has one column per node and one row per counted group: each
+    component of two or more nodes except the giants, and one group per
+    giant sample holding the nodes outside its giant. Returns (G^T G,
+    per-node outside-giant counts, the block's component labels, number of
+    giant samples); without ``count`` the first two are None. Labels are
+    unique across the block's rows. The results of different blocks combine
+    by integer addition, so a build does not depend on block scheduling.
     """
     b = r_hi - r_lo
     live = _live_rows(hashes, r_lo, r_hi, alpha)
-    if prev is None:
-        n_comp, flat = _label_rows(n, eu, ev, live)
-    else:
-        n_comp, flat = _merge_rows(prev[r_lo:r_hi], eu, ev, live)
-    lab = flat.astype(np.int32).reshape(b, n)
-    counts = np.bincount(flat)[lab]
-    giant = counts.sum(axis=1) > n * n / 2
+    lab = np.empty((b, n), dtype=np.int32)
+    n_comp = 0
+    # a row costs its nodes plus its live edges or gathered prev cells
+    pieces = _pieces(n + (live.sum(axis=1) if prev is None else np.full(b, len(eu))))
+    for lo, hi in pieces:
+        if prev is None:
+            k, flat = _label_rows(n, eu, ev, live[lo:hi])
+        else:
+            k, flat = _merge_rows(prev[r_lo + lo : r_lo + hi], eu, ev, live[lo:hi])
+        lab[lo:hi] = flat.reshape(hi - lo, n)
+        lab[lo:hi] += n_comp
+        n_comp += k
+    del live
+    counts = np.bincount(lab.ravel(), minlength=n_comp).astype(np.int32)[lab]
+    giant = counts.sum(axis=1, dtype=np.int64) > n * n / 2
     if not count:
         return None, None, lab, int(giant.sum())
-    giant_label = lab[np.arange(b), counts.argmax(axis=1)]
-    in_giant = giant[:, None] & (lab == giant_label[:, None])
-    outside = giant[:, None] & ~in_giant
-    # one group per counted component, then one per row for its outside set
-    out_r, out_i = np.nonzero(outside)
-    groups = np.concatenate([lab[~in_giant], n_comp + out_r])
-    nodes = np.concatenate([np.nonzero(~in_giant)[1], out_i])
-    members = csr_matrix(
-        (np.ones(len(groups), dtype=np.int32), (groups, nodes)), shape=(n_comp + b, n)
+    # -1 labels no node, so every node of a row without a giant is outside
+    giant_label = np.where(giant, lab[np.arange(b), counts.argmax(axis=1)], -1)
+    outside = lab != giant_label[:, None]
+    # G^T row by row, one per node: its counted components in sample order,
+    # then the outside group of each giant sample it lies outside
+    cols = np.empty((n, 2 * b), dtype=np.int32)
+    cols[:, :b] = lab.T
+    cols[:, b:] = n_comp + np.arange(b, dtype=np.int32)
+    keep = np.empty((n, 2 * b), dtype=bool)
+    np.greater(counts.T, 1, out=keep[:, :b])
+    keep[:, :b] &= outside.T
+    np.logical_and(outside.T, giant, out=keep[:, b:])
+    del counts, outside
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    row_out = keep[:, b:].sum(axis=1, dtype=np.int32)
+    indices = cols[keep]
+    del cols, keep
+    gt = csr_matrix(
+        (np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n_comp + b)
     )
-    same = (members.T @ members).toarray()
-    row_out = outside.sum(axis=0, dtype=np.int32)
+    same = (gt @ gt.T).toarray()
     return same, row_out, lab, int(giant.sum())
 
 

@@ -627,7 +627,12 @@ def test_control_empty_nodes_exits_2(tmp_path, capsys, via_config):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, extra", [("estimate", ()), ("stability", ("--reps", "2"))])
+@pytest.mark.parametrize("command, extra", [
+    ("estimate", ()),
+    ("stability", ("--reps", "2")),
+    ("augment", ("--k", "2")),
+    ("evaluate", ()),
+])
 def test_fewer_than_two_nodes_exit_1_before_any_output(tmp_path, capsys, command, extra):
     # the largest component of a lone self-loop is one node
     f = tmp_path / "one.edges"
@@ -635,6 +640,28 @@ def test_fewer_than_two_nodes_exit_1_before_any_output(tmp_path, capsys, command
     out = tmp_path / "o"
     assert run(command, "--input", str(f), "--R", "10", "--output-dir", str(out), *extra) == 1
     assert capsys.readouterr().err == f"error: {command} needs at least 2 nodes, got n=1\n"
+    assert not out.exists()
+
+
+def test_evaluate_of_a_one_node_dump_exits_1_before_any_output(tmp_path, capsys):
+    dump = tmp_path / "one.bin"
+    est = na.AccessEstimate(n=1, R=10, counters=np.full((1, 1), 10, dtype=np.int32))
+    na.save_estimate(est, np.array([7]), 0.5, 0, str(dump))
+    out = tmp_path / "o"
+    assert run("evaluate", "--estimate-in", str(dump), "--output-dir", str(out)) == 1
+    assert capsys.readouterr().err == "error: evaluate needs at least 2 nodes, got n=1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, n", [("0 0\n", 1), ("0 1\n", 2)], ids=["n1", "n2"])
+def test_control_on_fewer_than_three_nodes_exits_1_before_warning(tmp_path, capsys, caplog,
+                                                                    text, n):
+    f = tmp_path / "small.edges"
+    f.write_text(text)
+    out = tmp_path / "o"
+    assert run("control", "--input", str(f), "--R", "10", "--output-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: control needs at least 3 nodes, got n={n}\n"
+    assert "estimates" not in caplog.text  # the all-nodes warning is not given
     assert not out.exists()
 
 

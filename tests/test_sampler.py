@@ -5,6 +5,7 @@ import pytest
 from reference import ref_exact_access, ref_pair_counts, random_connected_graph
 
 import netaccess as na
+from netaccess import sampler
 from netaccess.cli import main as cli_main
 from netaccess.sampler import _ORACLE_CHUNK, _accumulate_block, _edge_hashes, _live_rows
 
@@ -160,6 +161,69 @@ def test_build_multi_block_counts_match_reference():
     live = _live_rows(eh, 0, R, 0.5)
     expect = ref_pair_counts(3, [(0, 1), (1, 2)], live)
     assert np.array_equal(est.counters, expect)
+
+
+FIVE_CYCLE = b"0 1\n1 2\n2 3\n3 4\n0 4\n"
+
+
+def _piece_builds(g, R: int, workers: int) -> dict:
+    """Every kind of build at alpha 0.5: fresh, on a lower alpha's ensemble,
+    on an equal alpha's ensemble of a subgraph, and without counting."""
+    lower = na.build_ensemble(g, 0.3, R, 4, workers=workers)[0]
+    sub = na.build_ensemble(g.without_node_edges(0), 0.5, R, 4, workers=workers, count=False)[0]
+    return {
+        "fresh": na.build_ensemble(g, 0.5, R, 4, workers=workers),
+        "lower": na.build_ensemble(g, 0.5, R, 4, workers=workers, below=lower),
+        "equal": na.build_ensemble(g, 0.5, R, 4, workers=workers, below=sub),
+        "uncounted": na.build_ensemble(g, 0.5, R, 4, workers=workers, count=False),
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("R", [300, 1030])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_labelling_in_pieces_equals_one_piece(monkeypatch, rows, R, workers):
+    """Each piece's labels count on from the pieces before it, so a block
+    labelled a few rows at a time has the labels and counters of a block
+    labelled in one call. Every row costs at least n, so a bound of rows * n
+    cuts pieces of at most that many rows; R=1030 puts block boundaries
+    inside the run, and on the 5-cycle at alpha 0.5 some samples have a
+    giant component and others do not."""
+    g = _graph(FIVE_CYCLE)
+    monkeypatch.setattr(sampler, "_LABEL_CELLS", 2**62)
+    whole = _piece_builds(g, R, 1)
+    monkeypatch.setattr(sampler, "_LABEL_CELLS", rows * g.n)
+    pieces = _piece_builds(g, R, workers)
+    live = _live_rows(_edge_hashes(4, g.eu, g.ev), 0, R, 0.5)
+    expect = ref_pair_counts(g.n, list(zip(g.eu.tolist(), g.ev.tolist())), live)
+    for kind, (ens, est) in pieces.items():
+        assert np.array_equal(ens.labels, whole[kind][0].labels), kind
+        assert np.array_equal(est.counters, whole[kind][1].counters), kind
+        if kind != "uncounted":
+            assert np.array_equal(est.counters, expect), kind
+
+
+def test_labelling_calls_are_bounded(monkeypatch):
+    """No labelling call takes more than _LABEL_CELLS nodes and live edges
+    unless it labels a single row, and a block is labelled in several calls."""
+    text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
+    g = _graph(text)
+    bound = 200
+    monkeypatch.setattr(sampler, "_LABEL_CELLS", bound)
+    sizes = []
+    label = sampler.connected_components
+
+    def recording(graph, **kwargs):
+        sizes.append((graph.shape[0], graph.nnz))
+        return label(graph, **kwargs)
+
+    monkeypatch.setattr(sampler, "connected_components", recording)
+    lower, _ = na.build_ensemble(g, 0.2, 500, 1)  # one block
+    fresh_calls = len(sizes)
+    na.build_ensemble(g, 0.5, 500, 1, below=lower)
+    assert fresh_calls > 1 and len(sizes) > fresh_calls + 1
+    for nodes, nnz in sizes:
+        assert nodes + nnz <= bound or nodes <= g.n
 
 
 def test_build_rejects_a_below_it_cannot_start_from():
