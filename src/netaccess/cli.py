@@ -2,10 +2,10 @@
 evaluation into reproducible runs.
 
 Every run writes a manifest.json (full config echo, input content hash, tool
-version) next to its outputs, and all primary outputs are byte-deterministic
-for a fixed config and input, independent of worker count. Exit code 2 marks
-config validation failures (the message names the offending field), exit 1
-runtime failures.
+version, peak resident memory) next to its outputs, and all primary outputs
+are byte-deterministic for a fixed config and input, independent of worker
+count. Exit code 2 marks config validation failures (the message names the
+offending field), exit 1 runtime failures.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import get_type_hints
@@ -142,6 +143,8 @@ def _finish(cfg: RunConfig, input_sha: str | None, summary: str) -> None:
         "command": cfg.command,
         "config": _config_echo(cfg, input_sha),
         "input_sha256": input_sha,
+        # the process's peak so far; Linux reports ru_maxrss in KiB
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "version": __version__,
     }
     _write_json(manifest, _out(cfg, "manifest.json"))

@@ -6,7 +6,6 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .advantage import broadcast_all, influence_all, welfare
 from .sampler import AccessEstimate
@@ -120,6 +119,9 @@ def signature_distances(
             "consider sample_pairs mode",
             n,
         )
+    # imported here: scipy.spatial costs every command ~7 MB at start-up
+    from scipy.spatial.distance import pdist
+
     d = pdist(p, metric=scipy_metric)
     best = int(np.argmax(d))
     # condensed index -> (i, j) with i < j, row-major, so the first argmax

@@ -43,17 +43,23 @@ node's removal this way, on one ensemble of the graph without every
 queried node's edges. The counters are identical to a fresh build's, and
 so are the labels unless insertion relabelled the earlier ensemble.
 
-Co-occurrence is counted as one sparse product G^T G per block, where G is
-0/1 with one row per group of nodes and one column per node; G^T is built as
-a CSR matrix straight from the block's labels, one row per node listing its
-groups. In a fragmented sample (sum of squared component sizes at most
+Co-occurrence is counted as the sparse product G^T G of each block, where G
+is 0/1 with one row per group of nodes and one column per node; G^T is built
+as a CSR matrix straight from the block's labels, one row per node listing
+its groups. In a fragmented sample (sum of squared component sizes at most
 n^2/2) every component of two or more nodes is a group: a lone node would
 add only to the diagonal, which is R anyway. In any other sample the first
 largest component is the giant: it is counted through its complement, one
 group of the nodes outside it, beside the other components of two or more
-nodes. Inserting an edge adds A^T B and its transpose, A and B being the
-two sides it merges in each sample. Counters are 32-bit, so R < 2**31, and
-a build accumulates them in 32 bits: every partial sum lies in [-R, R].
+nodes. A build has one n x n accumulator, shared by its workers: each block
+adds its product to it a band of node rows at a time, each band's product
+work (the sizes of its rows' groups summed, which bounds its nonzeros) at
+most ``_BAND_WORK`` unless it is a single row, under one lock. Integer
+addition is exact and commutes, so the order in which bands and blocks
+arrive does not change a counter. Inserting an edge adds A^T B and its
+transpose, A and B being the two sides it merges in each sample. Counters
+are 32-bit, so R < 2**31, and a build accumulates them in 32 bits: every
+partial sum lies in [-R, R].
 
 An estimate's access values are the R + 1 fractions c/R, so ``access.csv``
 is written from the counters through a table of those values formatted
@@ -65,8 +71,10 @@ and adds their one-hot product weighted by each outcome's probability.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +89,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK = 512
 _COIN_BYTES = 1 << 20  # uint64 hashes mixed at once; bounds each worker's coin buffer
 _LABEL_CELLS = 1 << 18  # nodes plus live edges per labelling call; bounds its buffers
+_BAND_WORK = 1 << 18  # product work per band of counted node rows; bounds its buffers
 ORACLE_EDGE_CAP = 20
 _ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
 
@@ -222,15 +231,15 @@ def _merge_rows(
     return n_comp, merged[prev.ravel()]
 
 
-def _pieces(cost: np.ndarray) -> list[tuple[int, int]]:
+def _pieces(cost: np.ndarray, bound: int) -> list[tuple[int, int]]:
     """Consecutive row ranges covering ``cost`` (one entry per row), each
-    costing at most ``_LABEL_CELLS`` in all unless it is a single row."""
+    costing at most ``bound`` in all unless it is a single row."""
     ends = np.cumsum(cost)
     pieces = []
     lo = 0
     while lo < len(ends):
         spent = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, spent + _LABEL_CELLS, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, spent + bound, side="right")))
         pieces.append((lo, hi))
         lo = hi
     return pieces
@@ -245,10 +254,12 @@ def _accumulate_block(
     r_lo: int,
     r_hi: int,
     prev: np.ndarray | None = None,
-    count: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, int]:
+    same: np.ndarray | None = None,
+    lock: contextlib.AbstractContextManager = contextlib.nullcontext(),
+) -> tuple[None, np.ndarray | None, np.ndarray, int]:
     """Draw the coins of one block of samples for the edges eu, ev (base
-    hashes ``hashes``), label the block and count its pairs as G^T G.
+    hashes ``hashes``), label the block and, given the n x n accumulator
+    ``same``, add its pairs G^T G to it.
 
     With ``prev`` None the block is labelled afresh; otherwise ``prev``
     holds an earlier, finer labelling of the same samples and the block is
@@ -260,19 +271,22 @@ def _accumulate_block(
 
     G has one column per node and one row per counted group: each
     component of two or more nodes except the giants, and one group per
-    giant sample holding the nodes outside its giant. Returns (G^T G,
-    per-node outside-giant counts, the block's component labels, number of
-    giant samples); without ``count`` the first two are None. Labels are
-    unique across the block's rows. The results of different blocks combine
-    by integer addition, so a build does not depend on block scheduling.
+    giant sample holding the nodes outside its giant. G^T G is added to
+    ``same`` a band of node rows at a time, each band's product work at
+    most ``_BAND_WORK`` unless it is a single row, and each addition holds
+    ``lock``. Returns (None, per-node outside-giant counts, the block's
+    component labels, number of giant samples); without ``same`` nothing
+    is counted and the counts are None. Labels are unique across the
+    block's rows. Blocks add integers, so a build does not depend on block
+    scheduling.
     """
     b = r_hi - r_lo
     live = _live_rows(hashes, r_lo, r_hi, alpha)
     lab = np.empty((b, n), dtype=np.int32)
     n_comp = 0
     # a row costs its nodes plus its live edges or gathered prev cells
-    pieces = _pieces(n + (live.sum(axis=1) if prev is None else np.full(b, len(eu))))
-    for lo, hi in pieces:
+    cost = n + (live.sum(axis=1) if prev is None else np.full(b, len(eu)))
+    for lo, hi in _pieces(cost, _LABEL_CELLS):
         if prev is None:
             k, flat = _label_rows(n, eu, ev, live[lo:hi])
         else:
@@ -283,7 +297,7 @@ def _accumulate_block(
     del live
     counts = np.bincount(lab.ravel(), minlength=n_comp).astype(np.int32)[lab]
     giant = counts.sum(axis=1, dtype=np.int64) > n * n / 2
-    if not count:
+    if same is None:
         return None, None, lab, int(giant.sum())
     # -1 labels no node, so every node of a row without a giant is outside
     giant_label = np.where(giant, lab[np.arange(b), counts.argmax(axis=1)], -1)
@@ -306,8 +320,14 @@ def _accumulate_block(
     gt = csr_matrix(
         (np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n_comp + b)
     )
-    same = (gt @ gt.T).toarray()
-    return same, row_out, lab, int(giant.sum())
+    members = gt.T.tocsr()
+    # a row's product work, the sizes of its groups summed, bounds its nonzeros
+    work = gt @ np.diff(members.indptr)
+    for lo, hi in _pieces(work, _BAND_WORK):
+        band = (gt[lo:hi] @ members).toarray()
+        with lock:
+            same[lo:hi] += band
+    return None, row_out, lab, int(giant.sum())
 
 
 def build_ensemble(
@@ -323,15 +343,15 @@ def build_ensemble(
 
     Cost is O(R m) for coins plus near-linear component labeling per sample.
     Results are bit-identical for any ``workers`` value: blocks are disjoint
-    and partial counters merge by integer addition. Passing an earlier
-    ensemble ``below`` of g or a subgraph of g (same n, R and seed, alpha
-    at most this one) labels each block on below's components, which the
-    coupling makes a refinement of this build's; the counters and the label
-    partition are identical to a fresh build's. At below's own alpha only
-    g's edges outside below can join two of its components, so only their
-    coins are drawn and labelled. With ``count`` False the pairs are not
-    counted: only the ensemble is built, and the estimate's counters are an
-    empty (0, 0) array.
+    and add their pairs to one shared accumulator by integer addition.
+    Passing an earlier ensemble ``below`` of g or a subgraph of g (same n,
+    R and seed, alpha at most this one) labels each block on below's
+    components, which the coupling makes a refinement of this build's; the
+    counters and the label partition are identical to a fresh build's. At
+    below's own alpha only g's edges outside below can join two of its
+    components, so only their coins are drawn and labelled. With ``count``
+    False the pairs are not counted: only the ensemble is built, and the
+    estimate's counters are an empty (0, 0) array.
     """
     alpha = validate_alpha(alpha)
     if R < 1:
@@ -367,19 +387,21 @@ def build_ensemble(
     hashes = _edge_hashes(seed, eu, ev)
     blocks = [(lo, min(lo + _BLOCK, R)) for lo in range(0, R, _BLOCK)]
 
-    def run(block: tuple[int, int]):
-        return _accumulate_block(n, eu, ev, hashes, alpha, block[0], block[1], prev, count)
-
     same = np.zeros((n, n) if count else (0, 0), dtype=np.int32)
+    lock = threading.Lock()
+
+    def run(block: tuple[int, int]):
+        return _accumulate_block(
+            n, eu, ev, hashes, alpha, block[0], block[1], prev, same if count else None, lock
+        )
+
     row_out = np.zeros(n, dtype=np.int32)
     rc = 0
     labels = np.empty((R, n), dtype=np.int32)
-    # summing each block as map yields it keeps only unsummed blocks in memory
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for (lo, hi), (psame, pout, plab, prc) in zip(blocks, pool.map(run, blocks)):
+        for (lo, hi), (_, pout, plab, prc) in zip(blocks, pool.map(run, blocks)):
             labels[lo:hi] = plab
             if count:
-                same += psame
                 row_out += pout
                 rc += prc
 
@@ -482,15 +504,20 @@ def stability_check(
         raise ValueError(f"reps must be at least 2, got {reps}")
     if g.n < 2:
         raise ValueError(f"stability needs at least 2 nodes, got n={g.n}")
-    pmin = None
-    pmax = None
+    # counter extremes, not their quotients: c/R is monotone and correctly
+    # rounded, so min(c)/R == min(c/R) and only the last step needs floats
+    cmin = cmax = None
     for rep in range(reps):
-        _, est = build_ensemble(g, alpha, R, base_seed + rep, workers=workers)
-        p = est.p
-        pmin = p if pmin is None else np.minimum(pmin, p)
-        pmax = p if pmax is None else np.maximum(pmax, p)
+        counters = build_ensemble(g, alpha, R, base_seed + rep, workers=workers)[1].counters
+        if cmin is None:
+            cmin, cmax = counters, counters.copy()
+        else:
+            np.minimum(cmin, counters, out=cmin)
+            np.maximum(cmax, counters, out=cmax)
+        del counters  # freed before the next rep is built
     off = ~np.eye(g.n, dtype=bool)
-    dev = (pmax - pmin)[off]
+    dev = cmax[off] / float(R)
+    dev -= cmin[off] / float(R)
     return float(dev.max()), float(dev.mean())
 
 
@@ -550,13 +577,13 @@ def save_estimate(est: AccessEstimate, orig_ids: np.ndarray, alpha: float, seed:
     n = est.n
     if len(orig_ids) and int(orig_ids.max()) >= 2**32:
         raise ValueError("original ids above 2**32-1 do not fit the binary format")
-    iu, ju = np.triu_indices(n, k=1)
-    tri = est.counters[iu, ju].astype("<u4")
     with open(path, "wb") as fh:
         fh.write(ESTIMATE_MAGIC)
         fh.write(struct.pack("<IIIdQ", 1, n, est.R, alpha, seed))
         fh.write(orig_ids.astype("<u4").tobytes())
-        fh.write(tri.tobytes())
+        # row by row: no all-pairs index or value array is built
+        for i in range(n - 1):
+            fh.write(est.counters[i, i + 1 :].astype("<u4").tobytes())
 
 
 def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
@@ -598,10 +625,12 @@ def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
     # checked as u32: a count of 2**31 or more would wrap negative in int32
     if n_pairs and int(tri.max()) > R:
         raise ValueError(f"estimate file pair counter {int(tri.max())} exceeds R={R}")
-    tri = tri.astype(np.int32)
-    counters = np.zeros((n, n), dtype=np.int32)
-    iu, ju = np.triu_indices(n, k=1)
-    counters[iu, ju] = tri
-    counters[ju, iu] = tri
+    counters = np.empty((n, n), dtype=np.int32)
+    start = 0
+    for i in range(n - 1):
+        row = tri[start : start + n - 1 - i]
+        counters[i, i + 1 :] = row
+        counters[i + 1 :, i] = row
+        start += n - 1 - i
     np.fill_diagonal(counters, R)
     return AccessEstimate(n=n, R=R, counters=counters), orig_ids, alpha, seed

@@ -55,6 +55,7 @@ def test_manifest_contents(graph_file, tmp_path):
     cfg = man["config"]
     assert cfg["alpha"] == 0.5 and cfg["R"] == 200 and cfg["seed"] == 3
     assert cfg["input_sha256"] == digest
+    assert isinstance(man["peak_rss_mb"], float) and man["peak_rss_mb"] > 0
 
 
 def test_estimate_deterministic_bytes(graph_file, tmp_path):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,3 +150,12 @@ def test_metrics_bundle_maps_nodes_to_original_ids():
     bundle = na.metrics_bundle(est, g.orig_ids, {}, k=0)
     assert set(bundle["welfare"]["pair"]) <= {10, 20, 30}
     assert bundle["gaps"]["broadcast"]["argmin_node"] in (10, 20, 30)
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    """Only signature_distances imports scipy.spatial, so commands that never
+    compare signatures do not load it."""
+    src = os.path.dirname(os.path.dirname(na.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, netaccess.cli; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

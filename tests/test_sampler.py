@@ -1,4 +1,5 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -179,6 +180,18 @@ def _piece_builds(g, R: int, workers: int) -> dict:
     }
 
 
+def _assert_builds_match(g, R: int, builds: dict, whole: dict) -> None:
+    """``_piece_builds`` results equal to ``whole``'s, labels and counters,
+    and counted builds equal to a union-find recount of the samples."""
+    live = _live_rows(_edge_hashes(4, g.eu, g.ev), 0, R, 0.5)
+    expect = ref_pair_counts(g.n, list(zip(g.eu.tolist(), g.ev.tolist())), live)
+    for kind, (ens, est) in builds.items():
+        assert np.array_equal(ens.labels, whole[kind][0].labels), kind
+        assert np.array_equal(est.counters, whole[kind][1].counters), kind
+        if kind != "uncounted":
+            assert np.array_equal(est.counters, expect), kind
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("R", [300, 1030])
 @pytest.mark.parametrize("workers", [1, 3])
@@ -194,13 +207,7 @@ def test_labelling_in_pieces_equals_one_piece(monkeypatch, rows, R, workers):
     whole = _piece_builds(g, R, 1)
     monkeypatch.setattr(sampler, "_LABEL_CELLS", rows * g.n)
     pieces = _piece_builds(g, R, workers)
-    live = _live_rows(_edge_hashes(4, g.eu, g.ev), 0, R, 0.5)
-    expect = ref_pair_counts(g.n, list(zip(g.eu.tolist(), g.ev.tolist())), live)
-    for kind, (ens, est) in pieces.items():
-        assert np.array_equal(ens.labels, whole[kind][0].labels), kind
-        assert np.array_equal(est.counters, whole[kind][1].counters), kind
-        if kind != "uncounted":
-            assert np.array_equal(est.counters, expect), kind
+    _assert_builds_match(g, R, pieces, whole)
 
 
 def test_labelling_calls_are_bounded(monkeypatch):
@@ -224,6 +231,68 @@ def test_labelling_calls_are_bounded(monkeypatch):
     assert fresh_calls > 1 and len(sizes) > fresh_calls + 1
     for nodes, nnz in sizes:
         assert nodes + nnz <= bound or nodes <= g.n
+
+
+@pytest.mark.parametrize("bound", [1, 1000])
+@pytest.mark.parametrize("R", [300, 1030])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_counting_in_bands_equals_one_band(monkeypatch, bound, R, workers):
+    """Each band adds its rows of G^T G to the build's one accumulator, so a
+    block counted one row or a few rows at a time, by several workers at
+    once, has the counters of a block counted in a single band. A row's
+    work here is 250 to 530, so a bound of 1 cuts single-row bands and a
+    bound of 1000 bands of two or three rows."""
+    g = _graph(FIVE_CYCLE)
+    monkeypatch.setattr(sampler, "_BAND_WORK", 2**62)
+    whole = _piece_builds(g, R, 1)
+    monkeypatch.setattr(sampler, "_BAND_WORK", bound)
+    bands = _piece_builds(g, R, workers)
+    _assert_builds_match(g, R, bands, whole)
+
+
+def _row_work(lab: np.ndarray) -> np.ndarray:
+    """Per node, the sizes of its counted groups summed over a block's rows:
+    its component unless that is a lone node or the giant, and the nodes
+    outside the giant when it lies outside one."""
+    n = lab.shape[1]
+    work = np.zeros(n, dtype=np.int64)
+    for row in lab:
+        size = np.bincount(row - row.min())[row - row.min()]
+        giant = size.sum() > n * n / 2
+        inside = giant & (row == row[size.argmax()])
+        work += np.where((size > 1) & ~inside, size, 0)
+        if giant:
+            work += np.where(inside, 0, n - size.max())
+    return work
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5])
+def test_counting_bands_are_bounded(monkeypatch, alpha):
+    """No band's product work exceeds _BAND_WORK unless the band is a single
+    row, the bands cover every node row once, and each is added to the
+    accumulator while the lock is held."""
+    text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
+    g = _graph(text)
+    bound = 300
+    monkeypatch.setattr(sampler, "_BAND_WORK", bound)
+    bands = []
+    lock = threading.Lock()
+
+    class Recording(np.ndarray):
+        def __setitem__(self, key, value):
+            assert lock.locked()
+            bands.append((key.start, key.stop))
+            super().__setitem__(key, value)
+
+    same = np.zeros((g.n, g.n), dtype=np.int32).view(Recording)
+    eh = _edge_hashes(1, g.eu, g.ev)
+    *_, lab, _ = _accumulate_block(g.n, g.eu, g.ev, eh, alpha, 0, 500, None, same, lock)
+    work = _row_work(lab)
+    assert len(bands) > 1
+    assert [lo for lo, _ in bands] == [0] + [hi for _, hi in bands[:-1]]
+    assert bands[-1][1] == g.n
+    for lo, hi in bands:
+        assert work[lo:hi].sum() <= bound or hi - lo == 1
 
 
 def test_build_rejects_a_below_it_cannot_start_from():
@@ -371,6 +440,17 @@ def test_stability_check_deterministic():
     assert a == b
 
 
+def test_stability_check_equals_quotient_formula():
+    """Extremes taken on the counters, divided by R at the end, give the
+    floats of extremes taken on every rep's c/R."""
+    text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
+    g = _graph(text)
+    R, reps, seed = 300, 4, 5
+    ps = [na.build_ensemble(g, 0.3, R, seed + rep)[1].p for rep in range(reps)]
+    dev = (np.maximum.reduce(ps) - np.minimum.reduce(ps))[~np.eye(g.n, dtype=bool)]
+    assert na.stability_check(g, 0.3, R, reps, seed) == (float(dev.max()), float(dev.mean()))
+
+
 def test_stability_check_rejects_single_rep():
     g = _graph(b"0 1\n")
     with pytest.raises(ValueError):
@@ -403,6 +483,22 @@ def test_estimate_save_load_round_trip(tmp_path):
     assert orig_ids.tolist() == [2, 4, 6]
     assert alpha == 0.37 and seed == 13
     assert est2.R == 900 and est2.n == 3
+
+
+def test_estimate_dump_bytes_follow_the_upper_triangle(tmp_path):
+    g = _graph(b"3 1\n1 4\n4 5\n5 9\n2 6\n5 3\n5 8\n9 7\n9 3\n6 5\n")
+    _, est = na.build_ensemble(g, 0.45, 700, 2)
+    path = tmp_path / "est.bin"
+    na.save_estimate(est, g.orig_ids, 0.45, 2, str(path))
+    iu, ju = np.triu_indices(g.n, k=1)
+    expect = (
+        sampler.ESTIMATE_MAGIC
+        + struct.pack("<IIIdQ", 1, g.n, 700, 0.45, 2)
+        + g.orig_ids.astype("<u4").tobytes()
+        + est.counters[iu, ju].astype("<u4").tobytes()
+    )
+    assert path.read_bytes() == expect
+    assert np.array_equal(na.load_estimate(str(path))[0].counters, est.counters)
 
 
 def test_load_estimate_rejects_bad_magic(tmp_path):
