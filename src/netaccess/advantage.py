@@ -22,6 +22,7 @@ from .sampler import (
     AccessEstimate,
     build_ensemble,
     exact_access_oracle,
+    triu_bands,
     validate_alpha,
 )
 
@@ -95,8 +96,9 @@ def access_centrality(
     node's edges. In every sample its components refine both g's and each
     removal's, so the base estimate (built once) and each node's removal
     estimate are labelled on them, and only the few edges outside the sub
-    are drawn and labelled at all. The sub's pairs are never counted. With
-    exact=True the enumeration oracle replaces sampling (small m only).
+    are drawn and labelled at all. The sub's pairs are never counted, and the
+    base is kept as int32 counters. With exact=True the enumeration oracle's
+    p matrices replace sampling (small m only).
     """
     alpha = validate_alpha(alpha)
     if g.n < 3:
@@ -104,11 +106,10 @@ def access_centrality(
     for c in nodes:
         if not (0 <= c < g.n):
             raise ValueError(f"node {c} out of range")
-    iu, ju = np.triu_indices(g.n, k=1)
     if exact:
-        pj = exact_access_oracle(g, alpha)[iu, ju]
+        base = exact_access_oracle(g, alpha)
         return [
-            _control_report(c, iu, ju, pj, exact_access_oracle(g.without_node_edges(c), alpha))
+            _control_report(c, base, exact_access_oracle(g.without_node_edges(c), alpha), 1.0)
             for c in nodes
         ]
 
@@ -116,14 +117,14 @@ def access_centrality(
         return build_ensemble(graph, alpha, R, seed, workers=workers, **kwargs)
 
     reports = []
-    pj = None
+    base = None
     for group in _removal_groups(g, nodes):
         sub = build(g.without_node_edges(*group), count=False)[0]
-        if pj is None:
-            pj = build(g, below=sub)[1].counters[iu, ju] / float(R)
+        if base is None:
+            base = build(g, below=sub)[1].counters
         for c in group:
-            removed = build(g.without_node_edges(c), below=sub)[1]
-            reports.append(_control_report(c, iu, ju, pj, removed))
+            removed = build(g.without_node_edges(c), below=sub)[1].counters
+            reports.append(_control_report(c, base, removed, float(R)))
             del removed  # freed before the next removal is built
     return reports
 
@@ -145,33 +146,25 @@ def _removal_groups(g: Graph, nodes: list[int]) -> list[list[int]]:
     return groups
 
 
-def _control_report(
-    c: int, iu: np.ndarray, ju: np.ndarray, pj: np.ndarray, removed: AccessEstimate | np.ndarray
-) -> ControlReport:
-    """Pair control of node c from the base's access ``pj`` over the pairs
-    (iu, ju) of ``np.triu_indices(n, 1)`` and the removal's access, given as
-    an estimate or a p matrix. Only the pairs avoiding c are read."""
-    sampled = isinstance(removed, AccessEstimate)
-    matrix = removed.counters if sampled else removed
-    keep = (iu != c) & (ju != c)
-    pj = pj[keep]
-    flat = iu[keep]
-    flat *= len(matrix)
-    flat += ju[keep]
-    pr = np.take(matrix, flat)
-    if sampled:
-        pr = pr / float(removed.R)
-    ratio = np.zeros(len(pj))
-    np.divide(pj - pr, pj, out=ratio, where=pj > 0)
+def _control_report(c: int, base: np.ndarray, removed: np.ndarray, scale: float) -> ControlReport:
+    """Pair control of node c from the n x n matrices ``base`` and ``removed``
+    whose entries over ``scale`` are the access with and without c (counters
+    at scale R or p at 1.0). The pairs i < j avoiding c are read in
+    ``triu_bands``, and their ratios are joined before one sum."""
+    ratios = []
+    for lo, hi, mask in triu_bands(len(base)):
+        mask[:, c] = False
+        if lo <= c < hi:
+            mask[c - lo] = False
+        pj = base[lo:hi][mask] / scale
+        pr = removed[lo:hi][mask] / scale
+        ratio = np.zeros(len(pj))
+        np.divide(pj - pr, pj, out=ratio, where=pj > 0)
+        ratios.append(ratio)
+    ratio = np.concatenate(ratios)
     np.clip(ratio, 0.0, 1.0, out=ratio)
-    n_pairs = len(pj)
     raw_sum = float(ratio.sum())
-    return ControlReport(
-        node=c,
-        cent_star=raw_sum / n_pairs,
-        max_pair_control=float(ratio.max()) if n_pairs else 0.0,
-        raw_sum=raw_sum,
-    )
+    return ControlReport(c, raw_sum / len(ratio), float(ratio.max()), raw_sum)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Evaluation reports: advantage gaps, distribution summaries, signature
-distances, and before/after comparison of metric bundles."""
+distances, and the metric bundle that gathers them for one estimate."""
 from __future__ import annotations
 
 import logging
@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .advantage import broadcast_all, influence_all, welfare
-from .sampler import AccessEstimate
+from .sampler import AccessEstimate, triu_bands
 
 logger = logging.getLogger(__name__)
 
@@ -94,7 +94,7 @@ def signature_distances(
     if metric not in ("L1", "L2"):
         raise ValueError(f"metric must be L1 or L2, got {metric!r}")
     n = est.n
-    p = est.p
+    p = est.counters / float(est.R)
     scipy_metric = "cityblock" if metric == "L1" else "euclidean"
     if sample_pairs is not None:
         rng = np.random.default_rng([seed, 0x7369676E])
@@ -146,11 +146,11 @@ def metrics_bundle(
     w, pair = welfare(est)
     gb = gap_report(b, "broadcast")
     gi = gap_report(infl, "influence")
-    # one expression, so the all-pairs index and value arrays are freed
-    # before the signature distances allocate theirs
-    access_summary = asdict(
-        distribution_summary(est.counters[np.triu_indices(est.n, k=1)] / float(est.R))
-    )
+    # one expression, so the all-pairs values are freed before the
+    # signature distances allocate theirs
+    access_summary = asdict(distribution_summary(np.concatenate(
+        [est.counters[lo:hi][mask] / float(est.R) for lo, hi, mask in triu_bands(est.n)]
+    )))
     sig_summary, sig_pair, sig_max = signature_distances(
         est, metric=signature_metric, sample_pairs=sample_pairs, seed=seed
     )

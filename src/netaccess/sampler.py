@@ -61,7 +61,9 @@ transpose, A and B being the two sides it merges in each sample. Counters
 are 32-bit, so R < 2**31, and a build accumulates them in 32 bits: every
 partial sum lies in [-R, R].
 
-An estimate's access values are the R + 1 fractions c/R, so ``access.csv``
+The access summary and control read the pairs i < j in row bands of at
+most ``_BAND_WORK`` pairs (``triu_bands``), never an all-pairs index. An
+estimate's access values are the R + 1 fractions c/R, so ``access.csv``
 is written from the counters through a table of those values formatted
 once, and each row's bytes are assembled in numpy from padded fields.
 
@@ -75,6 +77,7 @@ import contextlib
 import math
 import struct
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,10 +172,6 @@ class AccessEstimate:
     R: int
     counters: np.ndarray
 
-    @property
-    def p(self) -> np.ndarray:
-        return self.counters / float(self.R)
-
 
 def _label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray) -> tuple[int, np.ndarray]:
     """Label the rows of a (b, m) live matrix as one disjoint union, row r on
@@ -243,6 +242,14 @@ def _pieces(cost: np.ndarray, bound: int) -> list[tuple[int, int]]:
         pieces.append((lo, hi))
         lo = hi
     return pieces
+
+
+def triu_bands(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Row bands (lo, hi, mask) of an n x n matrix m's strict upper triangle:
+    ``m[lo:hi][mask]`` are the band's pairs i < j in row-major order, at
+    most ``_BAND_WORK`` unless it is a single row. Each mask is fresh."""
+    for lo, hi in _pieces(np.arange(n - 1, -1, -1), _BAND_WORK):
+        yield lo, hi, np.arange(n) > np.arange(lo, hi)[:, None]
 
 
 def _accumulate_block(
@@ -539,7 +546,7 @@ def _value_codes(values: AccessEstimate | np.ndarray) -> tuple[np.ndarray, np.nd
     if isinstance(values, AccessEstimate) and values.R < values.counters.size:
         R = values.R
         return values.counters, _padded([f"{c / R:.6f}\n" for c in range(R + 1)])
-    p = values.p if isinstance(values, AccessEstimate) else values
+    p = values.counters / float(values.R) if isinstance(values, AccessEstimate) else values
     bits = np.ascontiguousarray(p, dtype=np.float64).view(np.uint64)
     keys, codes = np.unique(bits, return_inverse=True)
     table = _padded([f"{v:.6f}\n" for v in keys.view(np.float64).tolist()])

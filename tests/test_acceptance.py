@@ -33,7 +33,7 @@ def test_monte_carlo_agrees_with_oracle():
             exact = na.exact_access_oracle(g, alpha)
             _, est = na.build_ensemble(g, alpha, R, seed=1000 * gi + ai)
             tol = np.maximum(0.03, 5.0 * np.sqrt(exact * (1.0 - exact) / R))
-            err = np.abs(est.p - exact)
+            err = np.abs(est.counters / est.R - exact)
             worst = max(worst, float((err - tol).max()))
             assert np.all(err <= tol), (gi, alpha, float(err.max()))
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netaccess as na
-from netaccess import AccessEstimate
+from netaccess import AccessEstimate, sampler
 from netaccess.advantage import _removal_groups
 from reference import ref_control_report
 
@@ -43,7 +43,7 @@ def test_welfare_equals_min_broadcast():
         est = _est_from_counters(c, 100)
         value, pair = na.welfare(est)
         assert value == na.broadcast_all(est).min()
-        assert est.p[pair] == value
+        assert (est.counters / est.R)[pair] == value
 
 
 def test_welfare_pair_lexicographic_on_ties():
@@ -198,12 +198,46 @@ def test_control_groups_match_per_node_full_builds(alpha, workers):
     assert _removal_groups(g, nodes) == [[41, 27], [40], [33, 42], [5], [25]]
     R, seed = 600, 7
     reps = na.access_centrality(g, alpha, nodes, R=R, seed=seed, workers=workers)
-    p = na.build_ensemble(g, alpha, R, seed)[1].p
+    p = na.build_ensemble(g, alpha, R, seed)[1].counters / R
     for c, rep in zip(nodes, reps):
-        p_removed = na.build_ensemble(g.without_node_edges(c), alpha, R, seed)[1].p
+        p_removed = na.build_ensemble(g.without_node_edges(c), alpha, R, seed)[1].counters / R
         assert rep.node == c
         assert (rep.cent_star, rep.max_pair_control, rep.raw_sum) == ref_control_report(
             c, p, p_removed
+        )
+
+
+@pytest.mark.parametrize("mode", ["workers=1", "workers=3", "exact"])
+def test_control_is_the_same_in_one_row_bands_and_one_band(monkeypatch, mode):
+    """Each report clears c's column in every band and c's row in the band
+    holding it, and in no band that starts after c. With a bound of 1 each
+    band is one row (the last two rows share one), where an index c - lo
+    would wrap to the band's only row; a bound of 7 cuts rows 5-6 and 7-9
+    into bands, where a slice from c - lo would wrap for c = 5. Either way
+    the reports equal one band's and the reference's, sampled and exact."""
+    edges = [(i, (i + 1) % 9) for i in range(9)] + [(0, 4), (2, 6), (3, 8), (5, 9)]
+    g = na.load_edge_list("".join(f"{u} {v}\n" for u, v in edges).encode())
+    nodes = [0, g.n // 2, g.n - 1]
+    alpha, R, seed = 0.5, 300, 2
+    if mode == "exact":
+        kwargs = {"exact": True}
+
+        def access(graph):
+            return na.exact_access_oracle(graph, alpha)
+    else:
+        kwargs = {"R": R, "seed": seed, "workers": int(mode[-1])}
+
+        def access(graph):
+            return na.build_ensemble(graph, alpha, R, seed)[1].counters / R
+    monkeypatch.setattr(sampler, "_BAND_WORK", 2**62)
+    whole = na.access_centrality(g, alpha, nodes, **kwargs)
+    for bound in (1, 7):
+        monkeypatch.setattr(sampler, "_BAND_WORK", bound)
+        assert na.access_centrality(g, alpha, nodes, **kwargs) == whole
+    p = access(g)
+    for c, rep in zip(nodes, whole):
+        assert (rep.cent_star, rep.max_pair_control, rep.raw_sum) == ref_control_report(
+            c, p, access(g.without_node_edges(c))
         )
 
 

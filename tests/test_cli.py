@@ -497,7 +497,7 @@ def test_access_csv_bytes_equal_reference_writer(text, alpha, seed):
                 return fh.read()
 
         assert access("oracle", "oracle") == reference(na.exact_access_oracle(g, float(alpha)))
-        want = reference(na.build_ensemble(g, float(alpha), 64, seed)[1].p)
+        want = reference(na.build_ensemble(g, float(alpha), 64, seed)[1].counters / 64)
         for workers in ("1", "2"):
             assert access("estimate", f"w{workers}", "--R", "64", "--seed", str(seed),
                           "--workers", workers) == want

@@ -136,7 +136,7 @@ def test_metrics_bundle_structure_and_identities():
     }
     assert bundle["k"] == 2
     assert bundle["config"] == {"alpha": 0.5}
-    off = est.p[~np.eye(3, dtype=bool)]
+    off = (est.counters / est.R)[~np.eye(3, dtype=bool)]
     assert bundle["welfare"]["value"] == off.min()
     assert bundle["min_broadcast"] == na.broadcast_all(est).min()
     assert bundle["min_influence"] == na.influence_all(est).min()

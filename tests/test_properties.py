@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -23,7 +24,8 @@ from scipy.sparse.csgraph import shortest_path
 import netaccess as na
 from netaccess import AccessEstimate
 from netaccess.graphs import add_edge_distances, argmax_pair, distance_matrix
-from netaccess.sampler import _edge_hashes, _label_rows, _live_rows
+from netaccess import sampler
+from netaccess.sampler import _edge_hashes, _label_rows, _live_rows, triu_bands
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -85,9 +87,9 @@ def test_welfare_is_min_broadcast_is_min_pair(g, alpha, seed):
     _, est = na.build_ensemble(g, alpha, 32, seed)
     value, pair = na.welfare(est)
     assert value == na.broadcast_all(est).min()
-    off = est.p[~np.eye(g.n, dtype=bool)]
+    off = (est.counters / est.R)[~np.eye(g.n, dtype=bool)]
     assert value == off.min()
-    assert est.p[pair] == value
+    assert (est.counters / est.R)[pair] == value
     assert pair[0] < pair[1]
 
 
@@ -386,7 +388,7 @@ def test_access_csv_from_estimate_matches_reference_writer(case):
     least n * n, in p's bit patterns, give the bytes of formatting p."""
     est, orig_ids = case
     got = _access_csv_bytes(na.write_access_csv, est, orig_ids)
-    assert got == _access_csv_bytes(ref_write_access_csv, est.p, orig_ids)
+    assert got == _access_csv_bytes(ref_write_access_csv, est.counters / est.R, orig_ids)
 
 
 # --- coins, labelling and shared control coins ------------------------------
@@ -484,7 +486,7 @@ def test_removal_on_recorded_coins_equals_fresh_build(g, kind, alpha, seed, R, w
     if g.n >= 3:
         rep = na.access_centrality(g, alpha, [c], R=R, seed=seed, workers=workers)[0]
         assert (rep.cent_star, rep.max_pair_control, rep.raw_sum) == ref_control_report(
-            c, est.p, fresh.p
+            c, est.counters / est.R, fresh.counters / fresh.R
         )
 
 
@@ -556,3 +558,22 @@ def test_build_below_at_equal_alpha_equals_fresh_build(g, regime, t, h_bits, sub
     fresh_ens, fresh = na.build_ensemble(h, alpha, R, seed)
     assert np.array_equal(est.counters, fresh.counters)
     assert np.array_equal(ens.labels, fresh_ens.labels)
+
+
+@pytest.mark.parametrize("bound", [1, 7, 2**62])
+@given(st.integers(1, 40))
+def test_triu_bands_walk_the_upper_triangle(bound, n):
+    """The bands cover rows 0..n-1 in order, none holds more than the bound
+    in pairs unless it is a single row, and their pairs, joined, are the
+    strict upper triangle in np.triu_indices' order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_BAND_WORK", bound)
+        bands = list(triu_bands(n))
+    assert [lo for lo, _, _ in bands] == [0] + [hi for _, hi, _ in bands[:-1]]
+    assert bands[-1][1] == n
+    for lo, hi, mask in bands:
+        assert mask.shape == (hi - lo, n)
+        assert mask.sum() <= bound or hi - lo == 1
+    m = np.arange(n * n).reshape(n, n)
+    joined = np.concatenate([m[lo:hi][mask] for lo, hi, mask in bands])
+    assert np.array_equal(joined, m[np.triu_indices(n, k=1)])

@@ -343,7 +343,7 @@ def test_estimate_converges_to_oracle():
     g = _graph(b"0 1\n1 2\n0 2\n2 3\n")
     p_exact = na.exact_access_oracle(g, 0.5)
     _, est = na.build_ensemble(g, 0.5, 40_000, 0)
-    assert np.max(np.abs(est.p - p_exact)) < 0.015
+    assert np.max(np.abs(est.counters / est.R - p_exact)) < 0.015
 
 
 def test_alpha_validation():
@@ -446,7 +446,7 @@ def test_stability_check_equals_quotient_formula():
     text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
     g = _graph(text)
     R, reps, seed = 300, 4, 5
-    ps = [na.build_ensemble(g, 0.3, R, seed + rep)[1].p for rep in range(reps)]
+    ps = [na.build_ensemble(g, 0.3, R, seed + rep)[1].counters / R for rep in range(reps)]
     dev = (np.maximum.reduce(ps) - np.minimum.reduce(ps))[~np.eye(g.n, dtype=bool)]
     assert na.stability_check(g, 0.3, R, reps, seed) == (float(dev.max()), float(dev.mean()))
 
@@ -464,7 +464,7 @@ def test_access_csv_format(tmp_path):
     g = _graph(b"5 7\n7 9\n")
     _, est = na.build_ensemble(g, 0.5, 100, 0)
     out = tmp_path / "access.csv"
-    na.write_access_csv(est.p, g.orig_ids, str(out))
+    na.write_access_csv(est.counters / est.R, g.orig_ids, str(out))
     lines = out.read_text().splitlines()
     assert lines[0] == "i,j,p"
     assert len(lines) == 1 + 3  # C(3,2) pairs
