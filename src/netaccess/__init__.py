@@ -22,6 +22,7 @@ from .advantage import (
 from .evaluation import (
     DistributionSummary,
     GapReport,
+    SignatureCache,
     distribution_summary,
     gap_report,
     metrics_bundle,
@@ -75,6 +76,7 @@ __all__ = [
     "ORACLE_EDGE_CAP",
     "PAIRED_KINDS",
     "SampleEnsemble",
+    "SignatureCache",
     "StepRecord",
     "access_centrality",
     "add_edge_incremental",

@@ -150,18 +150,24 @@ def _control_report(c: int, base: np.ndarray, removed: np.ndarray, scale: float)
     """Pair control of node c from the n x n matrices ``base`` and ``removed``
     whose entries over ``scale`` are the access with and without c (counters
     at scale R or p at 1.0). The pairs i < j avoiding c are read in
-    ``triu_bands``, and their ratios are joined before one sum."""
-    ratios = []
-    for lo, hi, mask in triu_bands(len(base)):
+    ``triu_bands``, and their ratios fill one array before one sum."""
+    n = len(base)
+    ratio = np.empty((n - 1) * (n - 2) // 2)
+    pos = 0
+    for lo, hi, mask in triu_bands(n):
         mask[:, c] = False
         if lo <= c < hi:
             mask[c - lo] = False
         pj = base[lo:hi][mask] / scale
-        pr = removed[lo:hi][mask] / scale
-        ratio = np.zeros(len(pj))
-        np.divide(pj - pr, pj, out=ratio, where=pj > 0)
-        ratios.append(ratio)
-    ratio = np.concatenate(ratios)
+        positive = pj > 0
+        # (pj - pr) / pj, computed in the band's slice of ratio
+        lost = ratio[pos : pos + len(pj)]
+        np.divide(removed[lo:hi][mask], scale, out=lost)
+        np.subtract(pj, lost, out=lost)
+        np.divide(lost, pj, out=lost, where=positive)
+        lost[~positive] = 0.0
+        pos += len(pj)
+        del pj, positive  # freed before the next band's
     np.clip(ratio, 0.0, 1.0, out=ratio)
     raw_sum = float(ratio.sum())
     return ControlReport(c, raw_sum / len(ratio), float(ratio.max()), raw_sum)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .advantage import access_centrality, advantage_report, write_advantage_csv
-from .evaluation import metrics_bundle
+from .evaluation import SignatureCache, metrics_bundle
 from .graphs import Graph, largest_connected_component, load_edge_list, write_edge_list
 from .heuristics import HEURISTIC_KINDS, PAIRED_KINDS, run_augmentation, write_trace_csv
 from .sampler import (
@@ -172,7 +172,12 @@ def _require_nodes(cfg: RunConfig, n: int, min_nodes: int) -> None:
 
 
 def _write_bundle(
-    cfg: RunConfig, input_sha: str, est: AccessEstimate, orig_ids: np.ndarray, k: int
+    cfg: RunConfig,
+    input_sha: str,
+    est: AccessEstimate,
+    orig_ids: np.ndarray,
+    k: int,
+    cache: SignatureCache | None = None,
 ) -> dict:
     bundle = metrics_bundle(
         est,
@@ -182,6 +187,7 @@ def _write_bundle(
         signature_metric=cfg.signature_metric,
         sample_pairs=cfg.sample_pairs,
         seed=cfg.seed,
+        cache=cache,
     )
     _write_json(bundle, _out(cfg, f"metrics_k{k}.json"))
     return bundle
@@ -215,12 +221,14 @@ def _cmd_augment(cfg: RunConfig) -> None:
     g, sha = _load_graph(cfg)
     est = None  # the run's estimate; every on_step passes it, updated in place
     last_k = -1  # the k of the last metrics bundle written
+    # the last bundle's signature distances, updated where the counters changed
+    cache = SignatureCache()
 
     def bundle(k: int) -> None:
         nonlocal last_k
         if k != last_k:
             last_k = k
-            _write_bundle(cfg, sha, est, g.orig_ids, k)
+            _write_bundle(cfg, sha, est, g.orig_ids, k, cache)
 
     def on_step(steps_done: int, added_total: int, step_est: AccessEstimate) -> None:
         # the first call, before any step, writes metrics_k0.json
@@ -241,6 +249,7 @@ def _cmd_augment(cfg: RunConfig) -> None:
     )
     added = len(trace.edges_added)
     bundle(added)
+    cache = None  # freed: no bundle follows
 
     write_trace_csv(trace, g.orig_ids, _out(cfg, "trace.csv"))
     write_edge_list(augmented, _out(cfg, "augmented.edges"))

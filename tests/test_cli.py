@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -329,6 +330,56 @@ def test_augment_writes_each_bundle_once(tmp_path, monkeypatch, text, heuristic,
     assert summary["edges_added"] == written[-1]
     if heuristic == "bc-one":
         assert summary["skipped_events"] == ["skipped: node 0 adjacent to all candidates"] * 2
+
+
+# a 40-node wheel with two pendant paths: at alpha 0.8 an inserted edge
+# changes the counters of a few nodes, so bundles update their distances
+WHEEL_PATHS = "".join(
+    f"{u} {v}\n"
+    for u, v in [(0, i) for i in range(1, 40)] + [(i, i + 1) for i in range(1, 39)]
+    + [(5, 40), (40, 41), (41, 42), (12, 43), (43, 44), (44, 45), (45, 46)]
+)
+
+
+@pytest.mark.parametrize("metric", ["L1", "L2"])
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_augment_signature_distances_equal_fresh_builds(tmp_path, monkeypatch, workers, metric):
+    """Every bundle's signature distances, updated from the last bundle's,
+    equal those of a fresh build of that step's graph."""
+    from netaccess import evaluation
+
+    covers = []
+
+    def recording_cover(old, new):
+        s = cover(old, new)
+        covers.append(len(s) / len(old))
+        return s
+
+    cover = evaluation._cover
+    monkeypatch.setattr(evaluation, "_cover", recording_cover)
+    f = tmp_path / "g.edges"
+    f.write_text(WHEEL_PATHS)
+    out = tmp_path / "aug"
+    assert run("augment", "--input", str(f), "--alpha", "0.8", "--R", "200",
+               "--heuristic", "bc-chord", "--k", "5", "--eval-every", "1",
+               "--signature-metric", metric, "--workers", workers,
+               "--output-dir", str(out)) == 0
+    # every bundle after the first went through a cover, not all pairs
+    assert len(covers) == 5 and max(covers) <= evaluation._UPDATE_SHARE
+    g = na.load_edge_list(WHEEL_PATHS.encode())
+    added = [(g.label_map[int(u)], g.label_map[int(v)]) for _, u, v, *_ in
+             (line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:])]
+    for k in range(6):
+        bundle = json.loads((out / f"metrics_k{k}.json").read_text())
+        _, est = na.build_ensemble(g.with_edges(added[:k]), 0.8, 200, 0)
+        summary, pair, value = na.signature_distances(est, metric=metric)
+        assert bundle["signature_distance"] == {
+            "metric": metric,
+            "sampled_pairs": None,
+            "summary": asdict(summary),
+            "max_pair": [int(g.orig_ids[pair[0]]), int(g.orig_ids[pair[1]])],
+            "max_value": value,
+        }
 
 
 def test_failed_run_leaves_no_output_dir(tmp_path):

@@ -159,3 +159,67 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, netaccess.cli; sys.exit('scipy.spatial' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# --- signature distances in counter units ----------------------------------
+
+
+def _chorded_ring_estimate(R, n=30, alpha=0.5):
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(0, n, 3)]
+    g = na.load_edge_list("".join(f"{u} {v}\n" for u, v in edges).encode())
+    return na.build_ensemble(g, alpha, R, 2)[1]
+
+
+@pytest.mark.parametrize("R", [256, 1024])
+@pytest.mark.parametrize("metric, scipy_metric", [("L1", "cityblock"), ("L2", "euclidean")])
+def test_signature_distances_at_power_of_two_R_equal_pdist_of_p(R, metric, scipy_metric):
+    """At R = 2**k every value equals pdist over the rows of counters / R bit for
+    bit, so the summary, the max pair and the max value do too."""
+    from scipy.spatial.distance import pdist
+
+    est = _chorded_ring_estimate(R)
+    d = pdist(est.counters / float(R), scipy_metric)
+    best = int(np.argmax(d))
+    pairs = [(i, j) for i in range(est.n) for j in range(i + 1, est.n)]
+    summary, pair, value = na.signature_distances(est, metric=metric)
+    assert summary == na.distribution_summary(d)
+    assert pair == pairs[best]
+    assert value == d[best]
+
+
+@pytest.mark.parametrize("R", [1000, 1024])
+@pytest.mark.parametrize("metric", ["L1", "L2"])
+def test_sampled_pairs_equal_exact_values(monkeypatch, R, metric):
+    """Every sampled pair's value is the exact mode's value at that pair, bit
+    for bit, across chunks of pairs (a few pairs per chunk here)."""
+    from netaccess import evaluation
+
+    est = _chorded_ring_estimate(R)
+    n = est.n
+    exact = evaluation._scaled(evaluation._counter_distances(est.counters, metric, None), R, metric)
+    monkeypatch.setattr(evaluation, "_BAND_WORK", 4 * n)
+    iu, ju = evaluation._sample_pairs(n, 50, 7)
+    picked = exact[iu * (2 * n - iu - 1) // 2 + ju - iu - 1]
+    summary, pair, value = na.signature_distances(est, metric=metric, sample_pairs=50, seed=7)
+    best = int(np.argmax(picked))
+    assert summary == na.distribution_summary(picked)
+    assert pair == (int(iu[best]), int(ju[best]))
+    assert value == picked[best]
+
+
+def test_cover_holds_every_changed_counter():
+    from netaccess.evaluation import _cover
+
+    rng = np.random.default_rng(4)
+    old = rng.integers(0, 9, (12, 12)).astype(np.int32)
+    old = np.minimum(old, old.T)
+    assert len(_cover(old, old)) == 0
+    new = old.copy()
+    for i, j in [(2, 7), (2, 9), (2, 11), (5, 7)]:
+        new[i, j] += 1
+        new[j, i] += 1
+    s = _cover(old, new)
+    # node 2 has three changes and 7 two, and together they cover all four
+    assert s.tolist() == [2, 7]
+    outside = np.setdiff1d(np.arange(12), s)
+    assert np.array_equal(old[np.ix_(outside, outside)], new[np.ix_(outside, outside)])

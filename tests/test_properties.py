@@ -165,6 +165,45 @@ def test_l1_at_least_l2(est):
     assert v1 >= v2 - 1e-12
 
 
+@given(
+    edge_graphs(n_max=9, connected=True),
+    alphas,
+    seeds,
+    st.sampled_from([64, 100]),
+    st.sampled_from(["L1", "L2"]),
+    st.sampled_from(["cover", "fallback"]),
+    st.data(),
+)
+def test_incremental_signature_distances_equal_full_recompute(
+    g, alpha, seed, R, metric, regime, data
+):
+    """Along a run of insertions, distances kept in a cache equal a full
+    recompute from the counters bit for bit, whether each update goes
+    through the cover of the changed counters or falls back to all pairs."""
+    from unittest import mock
+
+    from scipy.spatial.distance import pdist
+
+    from netaccess import evaluation
+
+    absent = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)]
+    picks = data.draw(st.lists(st.sampled_from(absent), unique=True, max_size=4)) if absent else []
+    ens, est = na.build_ensemble(g, alpha, R, seed)
+    cache = evaluation.SignatureCache()
+    share = 1.0 if regime == "cover" else 0.0
+    scipy_metric = "cityblock" if metric == "L1" else "sqeuclidean"
+    # a band of cdist rows holds a node or two, so updates cross bands
+    with mock.patch.object(evaluation, "_UPDATE_SHARE", share), \
+            mock.patch.object(evaluation, "_BAND_WORK", 2 * g.n):
+        for e in [None] + picks:
+            if e is not None:
+                na.add_edge_incremental(ens, est, e)
+            cached = na.signature_distances(est, metric=metric, cache=cache)
+            assert np.array_equal(cache.d, pdist(est.counters.astype(np.float64), scipy_metric))
+            assert np.array_equal(cache.counters, est.counters)
+            assert cached == na.signature_distances(est, metric=metric)
+
+
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=200))
 def test_distribution_summary_ordered(values):
     s = na.distribution_summary(np.array(values))
