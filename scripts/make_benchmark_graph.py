@@ -9,6 +9,8 @@ poorly connected nodes whose welfare an augmentation run can visibly move.
 
 Defaults give n=1133, m=5451, max degree 71, diameter 8. Deterministic for a
 fixed seed; some seeds admit no valid attachment point and are rejected.
+Hop distances come from ``netaccess.graphs.distance_matrix``, so the package
+must be importable (installed, or ``src`` on PYTHONPATH).
 """
 import argparse
 import os
@@ -16,7 +18,9 @@ import sys
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
+
+from netaccess.graphs import Graph, distance_matrix
 
 
 def config_graph(seed: int, degs: list[int]) -> list[tuple[int, int]]:
@@ -89,6 +93,12 @@ def config_graph(seed: int, degs: list[int]) -> list[tuple[int, int]]:
     raise RuntimeError("could not realize the degree sequence as a connected simple graph")
 
 
+def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """A netaccess Graph over nodes 0..n-1 from sorted (a, b) edges with a < b."""
+    eu, ev = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return Graph(n=n, eu=eu, ev=ev, orig_ids=np.arange(n))
+
+
 def make_graph(
     seed: int,
     n: int = 1133,
@@ -109,11 +119,7 @@ def make_graph(
     degs = [hub_deg] + [10] * n10 + [9] * (n_core - 1 - n10)
     assert sum(degs) == 2 * m_core and len(degs) == n_core
     edges = config_graph(seed, degs)
-    eu = np.array([e[0] for e in edges])
-    ev = np.array([e[1] for e in edges])
-    g = coo_matrix((np.ones(len(eu)), (eu, ev)), shape=(n_core, n_core))
-    d = shortest_path(g, method="D", directed=False, unweighted=True)
-    ecc = d.max(axis=1).astype(int)
+    ecc = distance_matrix(_graph(n_core, edges)).max(axis=1)
     core_diam = int(ecc.max())
     target = diameter - path_len
     # node 0 is the hub; attaching there would bump its degree past hub_deg
@@ -147,12 +153,9 @@ def main() -> int:
         return 1
     edges, core_diam, u0 = out
 
-    eu = np.array([e[0] for e in edges])
-    ev = np.array([e[1] for e in edges])
-    deg = np.bincount(np.concatenate([eu, ev]), minlength=args.n)
-    g = coo_matrix((np.ones(len(eu)), (eu, ev)), shape=(args.n, args.n))
-    d = shortest_path(g, method="D", directed=False, unweighted=True)
-    diam = int(d.max())
+    g = _graph(args.n, edges)
+    deg = np.bincount(np.concatenate([g.eu, g.ev]), minlength=args.n)
+    diam = int(distance_matrix(g).max())
     vals, counts = np.unique(deg, return_counts=True)
     print(
         f"n={args.n} m={len(edges)} maxdeg={int(deg.max())} diam={diam} "

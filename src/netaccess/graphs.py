@@ -1,10 +1,15 @@
-"""Undirected simple graphs: edge-list ingestion, LCC extraction, BFS utilities.
+"""Undirected simple graphs: edge-list ingestion, LCC extraction, hop distances.
 
 A ``Graph`` stores its edges once, as the canonical dense arrays ``eu``/``ev``;
 the edge set and the original-id lookup are derived from them on first use.
 Node ids are relabeled densely (0..n-1) at load time, in sorted original-id
 order, so lexicographic tie-breaks on dense ids and on original ids coincide.
 All user-facing output maps back through ``orig_ids``.
+
+All-pairs hop distances come from a bit-parallel multi-source BFS into one
+int32 matrix (``distance_matrix``) and are kept exact under edge insertion
+by a row-banded update (``add_edge_distances``); beside that matrix, each
+holds buffers of about ``_HOP_CELLS`` words or cells, whatever n is.
 """
 from __future__ import annotations
 
@@ -14,11 +19,14 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 logger = logging.getLogger(__name__)
 
 _MAX_NODE_ID = 2**63 - 1
+# words per BFS level buffer and int32 cells per distance-update band; bounds
+# the buffers of both, whatever n is
+_HOP_CELLS = 1 << 18
 
 
 class EdgeListParseError(ValueError):
@@ -208,13 +216,60 @@ def largest_connected_component(g: Graph) -> Graph:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop counts as an n x n int32 matrix (one BFS per node).
+    """All-pairs hop counts as an n x n int32 matrix.
 
     Unreachable pairs hold the sentinel n: every finite distance is at most
     n-1, so the sentinel is the maximum, just as inf would be.
+
+    Level-synchronous multi-source BFS over packed source bitsets (MS-BFS,
+    Then et al., PVLDB 8(4), 2014). Sources are packed 64 to a uint64 word
+    and swept in chunks of whole words, as many as keep each level's
+    buffers (n + 2m rows of chunk words) within about ``_HOP_CELLS`` words,
+    and at least one. Bit b of node v's word k is set when source 64k + b
+    reaches v: a level ORs the frontier words of v's neighbours and keeps
+    the bits not reached before. Only nonzero words are unpacked to write
+    their distances, a bounded piece at a time. The sweep does
+    O(D (n + 2m) n / 64) word operations for a largest eccentricity D, at
+    most about n^3 / 32 (a path).
     """
-    d = shortest_path(g.adjacency(), method="D", directed=False, unweighted=True)
-    return np.minimum(d, g.n, out=d).astype(np.int32)
+    n = g.n
+    dist = np.full((n, n), n, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    cells = dist.reshape(-1)
+    adj = g.adjacency()
+    nbrs = adj.indices
+    # reduceat needs strictly increasing starts: nodes of degree 0 get no row
+    has = np.diff(adj.indptr) > 0
+    starts = adj.indptr[:-1][has]
+    words = -(-n // 64)
+    step = max(1, _HOP_CELLS // (n + len(nbrs)))
+    piece = max(1, _HOP_CELLS // 256)  # words unpacked at once: at most _HOP_CELLS / 4 bits
+    for w0 in range(0, words, step):
+        w = min(words - w0, step)
+        lo = 64 * w0
+        off = np.arange(min(n - lo, 64 * w))  # the chunk's sources, less lo
+        frontier = np.zeros((n, w), dtype="<u8")
+        frontier[lo + off, off >> 6] = np.uint64(1) << (off & 63).astype(np.uint64)
+        unseen = ~frontier
+        level = 0
+        while True:
+            level += 1
+            nxt = np.zeros_like(frontier)
+            nxt[has] = np.bitwise_or.reduceat(frontier[nbrs], starts, axis=0)
+            nxt &= unseen
+            found = np.flatnonzero(nxt)
+            if not len(found):
+                break
+            unseen ^= nxt
+            for a in range(0, len(found), piece):
+                f = found[a : a + piece]
+                v, k = np.divmod(f, w)
+                bits = np.unpackbits(nxt.reshape(-1)[f].view(np.uint8), bitorder="little")
+                e = np.flatnonzero(bits.view(bool))
+                # bit e & 63 of word e >> 6 is source lo + 64k + (e & 63)
+                cells[((lo + 64 * k) * n + v)[e >> 6] + (e & 63) * n] = level
+            frontier = nxt
+    return dist
 
 
 def add_edge_distances(dist: np.ndarray, u: int, v: int) -> None:
@@ -222,14 +277,20 @@ def add_edge_distances(dist: np.ndarray, u: int, v: int) -> None:
 
     A new shortest path that uses the edge runs i..u-v..j or i..v-u..j, so
     D = min(D, D[:,u]+1+D[v,:], D[:,v]+1+D[u,:]), every term read from D
-    before the insertion. D is symmetric, so the second term is the
-    transpose of the first. A sum with a sentinel term is at least n+1 and
-    never replaces an entry, so unreachable pairs keep the sentinel.
+    before the insertion. D is symmetric, so its columns u and v are copies
+    of rows u and v, taken first; the matrix is then updated in row bands of
+    about ``_HOP_CELLS`` cells, so no n x n temporary is formed. A sum with
+    a sentinel term is at least n+1 and never replaces an entry, so
+    unreachable pairs keep the sentinel.
     """
-    via = dist[:, u, None] + dist[None, v, :]
-    via += 1
-    np.minimum(dist, via, out=dist)
-    np.minimum(dist, via.T, out=dist)
+    # rows u and v are columns u and v; the +1 is the new edge's hop
+    du = dist[u] + 1
+    dv = dist[v].copy()
+    step = max(1, _HOP_CELLS // len(dist))
+    for lo in range(0, len(dist), step):
+        band = dist[lo : lo + step]
+        np.minimum(band, du[lo : lo + step, None] + dv, out=band)
+        np.minimum(band, dv[lo : lo + step, None] + du, out=band)
 
 
 def argmax_pair(dist: np.ndarray) -> tuple[int, int]:

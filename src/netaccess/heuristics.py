@@ -21,9 +21,10 @@ down the initial-broadcast order until a non-neighbor is found (recording a
 skipped step if none exists); chord and random strategies redraw one
 endpoint, chosen by the seeded stream, until the edge is legal.
 
-The diameter kinds run one all-pairs BFS per run and then update its
-hop-distance matrix in place, O(n^2) per added edge; the pair is the
-matrix's row-major argmax (on disconnected input, the first unreachable
+The diameter kinds compute the all-pairs hop distances once per run, by a
+bit-parallel multi-source BFS (``graphs.distance_matrix``), and then update
+that int32 matrix in place in row bands, O(n^2) per added edge; the pair is
+the matrix's row-major argmax (on disconnected input, the first unreachable
 pair).
 """
 from __future__ import annotations
@@ -149,10 +150,12 @@ def run_augmentation(
     """Run one strategy for budget k and return (trace, augmented graph).
 
     The ensemble is built once (O(R m)) and every added edge costs O(R n)
-    via incremental update. The diameter kinds also run one all-pairs BFS
-    per run and update its distance matrix in O(n^2) per added edge. The
-    whole trace is a deterministic function of (graph, kind, k, alpha, R,
-    seed), independent of worker count.
+    via incremental update. The diameter kinds also run one bit-parallel
+    multi-source BFS per run, O(D (n + 2m) n / 64) word operations for a
+    largest eccentricity D, and update its int32 distance matrix in row
+    bands in O(n^2) per added edge. The whole trace is a deterministic
+    function of (graph, kind, k, alpha, R, seed), independent of worker
+    count.
     ``on_step`` is called with (steps done, total edges added, current
     estimate): once before the first step with (0, 0, initial estimate),
     then after each recorded step. The estimate is updated in place.

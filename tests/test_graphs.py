@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
+import netaccess.graphs as graphs
 from netaccess import (
     EdgeListParseError,
     EmptyInputError,
@@ -8,7 +12,7 @@ from netaccess import (
     load_edge_list,
     write_edge_list,
 )
-from netaccess.graphs import argmax_pair, distance_matrix
+from netaccess.graphs import Graph, add_edge_distances, argmax_pair, distance_matrix
 
 
 def test_basic_parse():
@@ -152,6 +156,102 @@ def test_farthest_pair_disconnected_is_first_unreachable_pair():
     dist = distance_matrix(g)
     assert dist[0].tolist() == [0, 1, 2, 5, 5]
     assert argmax_pair(dist) == (0, 3)
+
+
+def _graph(n, pairs):
+    """Graph over nodes 0..n-1 (isolated ones included) from any node pairs;
+    self-loops and repeats are dropped."""
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys = np.unique(np.minimum(a, b)[a != b] * n + np.maximum(a, b)[a != b])
+    return Graph(n=n, eu=keys // n, ev=keys % n, orig_ids=np.arange(n))
+
+
+def _random_graph(n, m, seed):
+    return _graph(n, np.random.default_rng(seed).integers(0, n, (m, 2)))
+
+
+def _scipy_hops(g):
+    """The reference: Dijkstra hop counts with inf mapped to n."""
+    d = shortest_path(g.adjacency(), method="D", directed=False, unweighted=True)
+    d[np.isinf(d)] = g.n
+    return d.astype(np.int32)
+
+
+def _whole_matrix_update(dist, u, v):
+    """The reference update: one n x n array of paths through the edge."""
+    via = dist[:, u, None] + dist[None, v, :]
+    via += 1
+    np.minimum(dist, via, out=dist)
+    np.minimum(dist, via.T, out=dist)
+
+
+_HOP_GRAPHS = [
+    pytest.param(_random_graph(n, m, seed=n + m), id=f"n{n}-m{m}")
+    # n across word boundaries; m=0 is edgeless, m=n//2 leaves isolated
+    # nodes and several components, m=3n is connected or nearly so
+    for n in (1, 2, 63, 64, 65, 130)
+    for m in sorted({0, n // 2, 3 * n})
+] + [
+    pytest.param(_graph(300, [(i, i + 1) for i in range(299)]), id="path300"),
+    pytest.param(
+        # a path, a dense part and 40 isolated nodes
+        _graph(140, [(i, i + 1) for i in range(69)]
+               + [(i, j) for i in range(70, 100) for j in range(70, i) if (i + j) % 3 == 0]),
+        id="path-dense-isolated",
+    ),
+]
+
+
+@pytest.mark.parametrize("cells", [graphs._HOP_CELLS, 1], ids=["default", "one-word-chunks"])
+@pytest.mark.parametrize("g", _HOP_GRAPHS)
+def test_distance_matrix_equals_scipy_shortest_path(g, cells, monkeypatch):
+    # a bound of 1 sweeps the sources one 64-bit word per chunk and unpacks
+    # one word at a time
+    monkeypatch.setattr(graphs, "_HOP_CELLS", cells)
+    dist = distance_matrix(g)
+    assert dist.dtype == np.int32 and dist.flags.c_contiguous
+    assert np.array_equal(dist, _scipy_hops(g))
+
+
+@pytest.mark.parametrize("cells", [graphs._HOP_CELLS, 1], ids=["default", "one-row-bands"])
+def test_banded_edge_update_equals_whole_matrix_update(cells, monkeypatch):
+    monkeypatch.setattr(graphs, "_HOP_CELLS", cells)
+    g = _random_graph(130, 90, seed=3)  # several components and isolated nodes
+    rng = np.random.default_rng(4)
+    dist = distance_matrix(g)
+    ref = dist.copy()
+    added = []
+    while len(added) < 25:
+        u, v = (int(x) for x in rng.integers(0, g.n, 2))
+        if u == v or g.has_edge(u, v) or (min(u, v), max(u, v)) in added:
+            continue
+        added.append((min(u, v), max(u, v)))
+        add_edge_distances(dist, u, v)
+        _whole_matrix_update(ref, u, v)
+        assert np.array_equal(dist, ref)
+    assert np.array_equal(dist, _scipy_hops(g.with_edges(added)))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hop_distances_hold_no_n_by_n_temporaries(bench_graph):
+    # beside the int32 result the BFS holds buffers of about _HOP_CELLS
+    # words (2 MB) and one unpacked piece; 4 MB is below one float64 n x n
+    # array (10.3 MB here), and the update's bands hold about 1 MB, below
+    # one n x n int32 array (5.1 MB)
+    n = bench_graph.n
+    dist, peak = _traced_peak(distance_matrix, bench_graph)
+    assert peak <= dist.nbytes + 4 * 2**20
+    u, v = next((0, j) for j in range(1, n) if not bench_graph.has_edge(0, j))
+    _, peak = _traced_peak(add_edge_distances, dist, u, v)
+    assert peak < n * n * 4
 
 
 def test_write_then_load_round_trip(tmp_path):
