@@ -51,7 +51,14 @@ n^2/2) every component of two or more nodes is a group: a lone node would
 add only to the diagonal, which is R anyway. In any other sample the first
 largest component is the giant: it is counted through its complement, one
 group of the nodes outside it, beside the other components of two or more
-nodes. A build has one n x n accumulator, shared by its workers: each block
+nodes. The sizes come from one table per block, indexed by label: a row's
+labels are one range and the rows come in order, so each sample's sum of
+squared sizes is one slice of the squared table, summed by
+``np.add.reduceat`` at the rows' least labels. A giant holds more than n/2
+nodes (the sum of squares is at most the largest size times n), so it is
+the only component of its sample that large and no two can tie. Which
+group, if any, each node joins is then one gather from a per-label table.
+A build has one n x n accumulator, shared by its workers: each block
 adds its product to it a band of node rows at a time, each band's product
 work (the sizes of its rows' groups summed, which bounds its nonzeros) at
 most ``_BAND_WORK`` unless it is a single row, under one lock. Integer
@@ -99,15 +106,18 @@ _ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
 ESTIMATE_MAGIC = b"ACE1"
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer; stateless 64-bit mixing of a fresh uint64 array
-    in place (returned for chaining)."""
+    in place (returned for chaining). ``tmp``, a uint64 array of z's shape,
+    holds the shifted words, so that no temporary is allocated."""
+    if tmp is None:
+        tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= _M1
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= _M2
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -124,17 +134,22 @@ def _live_rows(edge_hash: np.ndarray, r_lo: int, r_hi: int, alpha: float) -> np.
     the mixed hash. alpha * 2**53 is exact, so that is the integer test
     h < ceil(alpha * 2**53) << 11, which fits 64 bits for alpha in (0, 1).
     The hashes are mixed a chunk of rows at a time, about ``_COIN_BYTES``
-    of uint64, and each chunk's test is written into the result."""
+    of uint64, in place in two buffers reused by every chunk, and each
+    chunk's test is written into the result."""
     m = len(edge_hash)
     live = np.empty((r_hi - r_lo, m), dtype=bool)
     threshold = np.uint64(math.ceil(alpha * 2**53) << 11)
-    step = max(1, _COIN_BYTES // (8 * max(m, 1)))
+    step = max(1, min(_COIN_BYTES // (8 * max(m, 1)), r_hi - r_lo))
+    # one allocation for both buffers: two of their own measured ~3 MB more
+    # peak RSS on estimate-sweep (heap layout, not live bytes)
+    h, tmp = np.empty((2, step, m), dtype=np.uint64)
     for lo in range(r_lo, r_hi, step):
-        hi = min(lo + step, r_hi)
-        ridx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        k = min(step, r_hi - lo)
+        ridx = np.arange(lo + 1, lo + k + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            h = _mix64(edge_hash[None, :] + _GOLDEN * ridx[:, None])
-        np.less(h, threshold, out=live[lo - r_lo : hi - r_lo])
+            np.add(edge_hash[None, :], _GOLDEN * ridx[:, None], out=h[:k])
+        _mix64(h[:k], tmp[:k])
+        np.less(h[:k], threshold, out=live[lo - r_lo : lo - r_lo + k])
     return live
 
 
@@ -148,10 +163,16 @@ def validate_alpha(alpha: float) -> float:
 class SampleEnsemble:
     """R coupled live-edge samples stored as per-sample component labels.
 
-    ``labels[r]`` assigns each node its component label in sample r (label
-    values are arbitrary but consistent within a row; no two rows of one
-    labelling block share a label, which a build from ``below`` relies on
-    and insertion keeps). ``edges`` tracks the current canonical edge set:
+    ``labels[r]`` assigns each node its component label in sample r. Within
+    one labelling block of ``_BLOCK`` samples each row's labels lie in one
+    range of ids, and the ranges follow the row order without overlapping:
+    a fresh build numbers them 0, 1, ... with no id unused. A build from
+    ``below`` relies on rows not sharing a label, and counting relies on the
+    ranges, which make each row's components one slice of the block's
+    component-size table. Insertion keeps both: it only relabels a merged
+    component to another label of its own row, so it can leave unused ids
+    inside a row's range, which a build from it keeps as empty components.
+    ``edges`` tracks the current canonical edge set:
     incremental insertion rejects duplicates against it and adds to it, so
     it is the augmented graph's edge set.
     """
@@ -180,9 +201,13 @@ def _label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray) -> tup
     eu must be non-decreasing, as a Graph's canonical edges are: the row-major
     live entries then have sorted sources r*n + eu[e], so they are already a
     CSR matrix, built here without scipy's COO conversion and checks."""
-    b = live.shape[0]
-    rows, cols = np.nonzero(live)
-    rows *= n
+    b, m = live.shape
+    # flat indices of the live entries, row-major: np.nonzero would unravel
+    # them through a second index array; each row's offset is removed here
+    per_row = np.count_nonzero(live, axis=1)
+    cols = np.flatnonzero(live)
+    cols -= np.repeat(np.arange(b) * m, per_row)
+    rows = np.repeat(np.arange(b) * n, per_row)
     src = eu[cols]
     src += rows
     indptr = np.zeros(b * n + 1, dtype=np.int64)
@@ -302,23 +327,35 @@ def _accumulate_block(
         lab[lo:hi] += n_comp
         n_comp += k
     del live
-    counts = np.bincount(lab.ravel(), minlength=n_comp).astype(np.int32)[lab]
-    giant = counts.sum(axis=1, dtype=np.int64) > n * n / 2
+    # each row's labels are one range and the rows come in order, so a row's
+    # components are one slice of the size table, starting at its least label
+    sizes = np.bincount(lab.ravel(), minlength=n_comp)
+    starts = lab.min(axis=1)
+    giant = np.add.reduceat(sizes * sizes, starts) > n * n / 2
+    rc = int(giant.sum())
     if same is None:
-        return None, None, lab, int(giant.sum())
-    # -1 labels no node, so every node of a row without a giant is outside
-    giant_label = np.where(giant, lab[np.arange(b), counts.argmax(axis=1)], -1)
-    outside = lab != giant_label[:, None]
+        return None, None, lab, rc
+    # per label: 1 for a counted component (two or more nodes, not a giant),
+    # 2 for a giant, 0 otherwise
+    kind = (sizes > 1).view(np.uint8)
+    if rc:
+        # a giant is the only component of its row with more than n/2 nodes
+        big = np.flatnonzero(2 * sizes > n)
+        kind[big[giant[np.searchsorted(starts, big, side="right") - 1]]] = 2
+    # gathered row-major, before the n x 2b index matrix exists
+    node_kind = kind[lab]
+    del sizes, kind
+    keep = np.empty((n, 2 * b), dtype=bool)
+    np.equal(node_kind.T, 1, out=keep[:, :b])
+    # a node lies outside the giant of a giant sample unless it is in it
+    np.not_equal(node_kind.T, 2, out=keep[:, b:])
+    keep[:, b:] &= giant
+    del node_kind
     # G^T row by row, one per node: its counted components in sample order,
     # then the outside group of each giant sample it lies outside
     cols = np.empty((n, 2 * b), dtype=np.int32)
     cols[:, :b] = lab.T
     cols[:, b:] = n_comp + np.arange(b, dtype=np.int32)
-    keep = np.empty((n, 2 * b), dtype=bool)
-    np.greater(counts.T, 1, out=keep[:, :b])
-    keep[:, :b] &= outside.T
-    np.logical_and(outside.T, giant, out=keep[:, b:])
-    del counts, outside
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     row_out = keep[:, b:].sum(axis=1, dtype=np.int32)
@@ -334,7 +371,7 @@ def _accumulate_block(
         band = (gt[lo:hi] @ members).toarray()
         with lock:
             same[lo:hi] += band
-    return None, row_out, lab, int(giant.sum())
+    return None, row_out, lab, rc
 
 
 def build_ensemble(

@@ -18,6 +18,7 @@ from reference import (
     ref_pair_counts,
     ref_unmix64,
     ref_write_access_csv,
+    UnionFind,
 )
 from scipy.sparse.csgraph import shortest_path
 
@@ -597,6 +598,62 @@ def test_build_below_at_equal_alpha_equals_fresh_build(g, regime, t, h_bits, sub
     fresh_ens, fresh = na.build_ensemble(h, alpha, R, seed)
     assert np.array_equal(est.counters, fresh.counters)
     assert np.array_equal(ens.labels, fresh_ens.labels)
+
+
+def _union_find_labels(g, live: np.ndarray) -> np.ndarray:
+    """(R, n) union-find roots of each sample's live edges."""
+    roots = []
+    for row in live:
+        uf = UnionFind(g.n)
+        for u, v in zip(g.eu[row].tolist(), g.ev[row].tolist()):
+            uf.union(u, v)
+        roots.append([uf.find(i) for i in range(g.n)])
+    return np.array(roots).reshape(len(live), g.n)
+
+
+_PATH5 = na.load_edge_list(b"0 1\n1 2\n2 3\n3 4\n")
+
+
+@given(edge_graphs(n_max=7), st.sampled_from(["fragmented", "giant"]), st.floats(0.0, 1.0),
+       _EDGE_BITS, st.sampled_from(["fresh", "relabelled"]), seeds, st.sampled_from([64, 600]),
+       st.integers(1, 3), st.sampled_from([1, 12, 2**62]), st.sampled_from([1, 40, 2**62]))
+# an edgeless graph: every row has no live edge
+@example(_PATH5, "giant", 0.5, [False] * 10, "fresh", 3, 600, 2, 12, 40)
+@example(_PATH5, "fragmented", 0.0, [True] * 10, "relabelled", 3, 600, 2, 12, 1)
+def test_block_kernel_equals_union_find(g, regime, t, bits, start, seed, R, workers, cells, work):
+    """Every build's counters equal a union-find recount of its samples and
+    its labels group every row's nodes like the union-find, with blocks
+    labelled in pieces of at most ``cells`` and counted in bands of at most
+    ``work``. A fresh build's counts of giant rows equal the union-find's.
+    The relabelled start is an ensemble of a subgraph at a lower alpha that
+    add_edge_incremental has grown to g, so its rows leave ids unused."""
+    lo, hi = (0.05, 0.25) if regime == "fragmented" else (0.75, 0.95)
+    alpha = lo + t * (hi - lo)
+    keep = np.array(bits[: g.m], dtype=bool)
+    g = replace(g, eu=g.eu[keep], ev=g.ev[keep])
+    live = _live_rows(_edge_hashes(seed, g.eu, g.ev), 0, R, alpha)
+    roots = _union_find_labels(g, live)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_LABEL_CELLS", cells)
+        mp.setattr(sampler, "_BAND_WORK", work)
+        below = None
+        if start == "relabelled":
+            below, below_est = na.build_ensemble(
+                replace(g, eu=g.eu[::2], ev=g.ev[::2]), alpha / 2, R, seed, workers=workers
+            )
+            for e in zip(g.eu[1::2].tolist(), g.ev[1::2].tolist()):
+                na.add_edge_incremental(below, below_est, e)
+        ens, est = na.build_ensemble(g, alpha, R, seed, workers=workers, below=below)
+        assert np.array_equal(est.counters, ref_pair_counts(g.n, list(zip(g.eu, g.ev)), live))
+        assert _same_partition(ens.labels, roots)
+        if start == "fresh":
+            sq = [np.bincount(row) @ np.bincount(row) for row in roots]
+            giant_rows = sum(
+                sampler._accumulate_block(g.n, g.eu, g.ev, _edge_hashes(seed, g.eu, g.ev),
+                                          alpha, r0, min(r0 + sampler._BLOCK, R))[3]
+                for r0 in range(0, R, sampler._BLOCK)
+            )
+            assert giant_rows == sum(s > g.n * g.n / 2 for s in sq)
 
 
 @pytest.mark.parametrize("bound", [1, 7, 2**62])

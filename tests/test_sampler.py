@@ -295,6 +295,68 @@ def test_counting_bands_are_bounded(monkeypatch, alpha):
         assert work[lo:hi].sum() <= bound or hi - lo == 1
 
 
+def _row_ranges(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(least, greatest) label of every row, per block of ``_BLOCK`` rows,
+    checked to follow the row order without overlapping."""
+    ranges = []
+    for lo in range(0, len(labels), sampler._BLOCK):
+        block = labels[lo : lo + sampler._BLOCK]
+        least, greatest = block.min(axis=1), block.max(axis=1)
+        assert (greatest[:-1] < least[1:]).all()
+        ranges.append((least, greatest))
+    return ranges
+
+
+def _assert_dense_ranges(labels: np.ndarray) -> None:
+    """Every block's rows number their components 0, 1, ... in row order,
+    each row one range with no id unused."""
+    for lo, (least, greatest) in zip(range(0, len(labels), sampler._BLOCK), _row_ranges(labels)):
+        assert least[0] == 0 and (least[1:] == greatest[:-1] + 1).all()
+        for row, a, z in zip(labels[lo : lo + sampler._BLOCK], least, greatest):
+            assert np.array_equal(np.unique(row), np.arange(a, z + 1))
+
+
+def test_row_labels_are_ranges_in_row_order(monkeypatch):
+    """The invariant the counting's size table slices rely on: within a
+    block, each row's labels are one range and the ranges follow the rows.
+    Fresh labelling and labelling on an earlier ensemble (``_merge_rows``)
+    leave no id unused, here in several pieces per block; insertion keeps
+    each row's labels inside its range, and a build on the relabelled
+    ensemble keeps the ranges in row order."""
+    text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
+    g = _graph(text)
+    monkeypatch.setattr(sampler, "_LABEL_CELLS", 200)
+    h = g.without_node_edges(3, 17)
+    fresh, _ = na.build_ensemble(h, 0.3, 1030, 2, workers=2)
+    _assert_dense_ranges(fresh.labels)
+    live = _live_rows(_edge_hashes(2, g.eu, g.ev), 0, 4, 0.3)
+    n_comp, flat = sampler._label_rows(g.n, g.eu, g.ev, live)
+    _assert_dense_ranges(flat.reshape(4, g.n))
+    assert n_comp == flat.max() + 1
+
+    merged, _ = na.build_ensemble(h, 0.5, 1030, 2, workers=2, below=fresh)
+    _assert_dense_ranges(merged.labels)
+    prev = fresh.labels[:4]
+    live = _live_rows(_edge_hashes(2, h.eu, h.ev), 0, 4, 0.5)
+    n_comp, flat = sampler._merge_rows(prev, h.eu, h.ev, live)
+    _assert_dense_ranges(flat.reshape(4, g.n))
+    assert n_comp == flat.max() + 1
+
+    ens, est = na.build_ensemble(h, 0.5, 1030, 2)
+    before = _row_ranges(ens.labels.copy())
+    for e in sorted(g.edge_set - h.edge_set):
+        na.add_edge_incremental(ens, est, e)
+    for lo, (least, greatest) in zip(range(0, 1030, sampler._BLOCK), before):
+        block = ens.labels[lo : lo + sampler._BLOCK]
+        assert (block.min(axis=1) >= least).all() and (block.max(axis=1) <= greatest).all()
+    rebuilt, est_on = na.build_ensemble(g, 0.5, 1030, 2, workers=2, below=ens)
+    for labels in (ens.labels, rebuilt.labels):
+        # some ids inside the rows' ranges are left unused
+        spans = sum(int((greatest - least + 1).sum()) for least, greatest in _row_ranges(labels))
+        assert sum(len(np.unique(row)) for row in labels) < spans
+    assert np.array_equal(est_on.counters, na.build_ensemble(g, 0.5, 1030, 2)[1].counters)
+
+
 def test_build_rejects_a_below_it_cannot_start_from():
     g = _graph(b"0 1\n1 2\n2 3\n")
     ens, est = na.build_ensemble(g, 0.4, 100, 3)
