@@ -1,7 +1,7 @@
 """Undirected simple graphs: edge-list ingestion, LCC extraction, hop distances.
 
-A ``Graph`` stores its edges once, as the canonical dense arrays ``eu``/``ev``;
-the edge set and the original-id lookup are derived from them on first use.
+A ``Graph`` stores its edges once, as the canonical dense arrays ``eu``/``ev``,
+searched by their sorted keys ``eu * n + ev``; ``label_map`` is derived lazily.
 Node ids are relabeled densely (0..n-1) at load time, in sorted original-id
 order, so lexicographic tie-breaks on dense ids and on original ids coincide.
 All user-facing output maps back through ``orig_ids``.
@@ -59,8 +59,7 @@ class Graph:
     ``eu``/``ev`` hold the canonical edge list (eu[i] < ev[i], sorted
     lexicographically, no duplicates) and are the only copy of the edges.
     ``orig_ids[d]`` is the original id of dense node d, in increasing order.
-    ``edge_set`` and ``label_map`` (original id -> dense id) are derived
-    from those arrays on first use.
+    ``label_map`` (original id -> dense id) is derived from it on first use.
     """
 
     n: int
@@ -74,17 +73,22 @@ class Graph:
         return len(self.eu)
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(self.eu.tolist(), self.ev.tolist()))
-
-    @cached_property
     def label_map(self) -> dict[int, int]:
         return {o: d for d, o in enumerate(self.orig_ids.tolist())}
 
+    def has_edges(self, a, b) -> np.ndarray:
+        """Which node pairs (a[i], b[i]), in either order, are edges, by a
+        binary search of the sorted keys; a pair with an id outside 0..n-1
+        is not. Scalars give a 0-d array."""
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        q = a * self.n + b
+        # n*n exceeds every key: even an edgeless graph has one to compare with
+        keys = np.append(self.eu * self.n + self.ev, self.n * self.n)
+        found = keys.take(np.searchsorted(keys, q), mode="clip") == q
+        return found & (a >= 0) & (b < self.n)
+
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set
+        return bool(self.has_edges(u, v))
 
     def adjacency(self) -> csr_matrix:
         ones = np.ones(2 * self.m, dtype=np.int8)
@@ -96,23 +100,27 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
     def with_edges(self, new_edges: list[tuple[int, int]]) -> "Graph":
-        """Copy of this graph with extra edges (dense ids, must be absent)."""
-        extra: set[tuple[int, int]] = set()
-        for u, v in new_edges:
-            if u > v:
-                u, v = v, u
-            if u < 0 or v >= self.n:
-                raise ValueError(f"edge ({u},{v}) out of range for {self.n} nodes")
+        """Copy of this graph with extra edges (dense ids, must be absent).
+        The first illegal edge, in the given order, raises ValueError."""
+        n = self.n
+        e = np.array(new_edges, dtype=np.int64).reshape(-1, 2)
+        a, b = e.min(axis=1), e.max(axis=1)
+        q = a * n + b
+        # every edge but the first of each key repeats an earlier one
+        repeat = np.ones(len(q), dtype=bool)
+        repeat[np.unique(q, return_index=True)[1]] = False
+        bad = (a < 0) | (b >= n) | (a == b) | repeat | self.has_edges(a, b)
+        if bad.any():
+            u, v = int(a[bad][0]), int(b[bad][0])
+            if u < 0 or v >= n:
+                raise ValueError(f"edge ({u},{v}) out of range for {n} nodes")
             if u == v:
                 raise ValueError(f"self-loop ({u},{v})")
-            if (u, v) in self.edge_set or (u, v) in extra:
-                raise ValueError(f"edge ({u},{v}) already present")
-            extra.add((u, v))
-        new = np.array(list(extra), dtype=np.int64).reshape(-1, 2)
-        eu, ev = _canonical_edges(
-            self.n, np.concatenate([self.eu, new[:, 0]]), np.concatenate([self.ev, new[:, 1]])
-        )
-        return replace(self, eu=eu, ev=ev)
+            raise ValueError(f"edge ({u},{v}) already present")
+        keys = self.eu * n + self.ev
+        q.sort()
+        keys = np.insert(keys, np.searchsorted(keys, q), q)
+        return replace(self, eu=keys // n, ev=keys % n)
 
     def without_node_edges(self, *nodes: int) -> "Graph":
         """Same node set with every incident edge of the given nodes removed.

@@ -15,11 +15,12 @@ Strategy catalog (selection rule per step):
   diam-both   both endpoints of that pair wired to the center (2 edges)
 
 The center is the node with maximum broadcast in the initial estimate and
-stays fixed for the whole run. Collisions (candidate edge already present,
-or a self-loop) are resolved by two rules: center-targeting strategies walk
-down the initial-broadcast order until a non-neighbor is found (recording a
-skipped step if none exists); chord and random strategies redraw one
-endpoint, chosen by the seeded stream, until the edge is legal.
+stays fixed for the whole run. Collisions (a self-loop, or an edge the
+ensemble's graph, which grows with the run, already has) are resolved by
+two rules: center-targeting strategies walk down the initial-broadcast
+order until a non-neighbor is found (recording a skipped step if none
+exists); chord and random strategies redraw one endpoint, chosen by the
+seeded stream, until the edge is legal, or skip on a complete graph.
 
 The diameter kinds compute the all-pairs hop distances once per run, by a
 bit-parallel multi-source BFS (``graphs.distance_matrix``), and then update
@@ -94,30 +95,31 @@ def _canon(u: int, v: int) -> tuple[int, int]:
 def resolve_collision(
     kind: str,
     candidate: tuple[int, int],
-    n: int,
-    edges: set[tuple[int, int]],
+    g: Graph,
     broadcast_order: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, int] | None:
     """Turn an illegal candidate edge into a legal one, or None to skip.
 
-    ``edges`` is the current canonical (u < v) edge set over nodes 0..n-1.
-    Center-targeting kinds keep the non-center endpoint u and walk down the
-    initial-broadcast order (second-highest onwards) to the first
-    non-neighbor of u; if u is adjacent to everything the step is skipped.
-    Chord/random kinds redraw one endpoint (side picked by the seeded
-    stream) until the edge is legal.
+    ``g`` is the current graph. Center-targeting kinds keep the non-center
+    endpoint u and walk down the initial-broadcast order (second-highest
+    onwards) to the first non-neighbor of u; if u is adjacent to everything
+    the step is skipped. Chord/random kinds redraw one endpoint (side picked
+    by the seeded stream) until the edge is legal; on a complete graph no
+    edge is, and the step is skipped.
     """
     u, v = candidate
     if kind in _CENTER_KINDS:
         for w in broadcast_order[1:]:
             w = int(w)
-            if w != u and _canon(u, w) not in edges:
+            if w != u and not g.has_edge(u, w):
                 return _canon(u, w)
         return None
-    while u == v or _canon(u, v) in edges:
+    if g.is_complete():
+        return None
+    while u == v or g.has_edge(u, v):
         side = int(rng.integers(2))
-        fresh = int(rng.integers(n))
+        fresh = int(rng.integers(g.n))
         if side == 0:
             u = fresh
         else:
@@ -187,13 +189,12 @@ def run_augmentation(
         center=center if kind in _CENTER_KINDS else None,
     )
     n_steps = k // 2 if kind in PAIRED_KINDS else k
-    n_pairs = g.n * (g.n - 1) // 2
     added_total = 0
     if on_step is not None:
         on_step(0, 0, est)
 
     for step in range(n_steps):
-        if len(ens.edges) == n_pairs:
+        if ens.graph.is_complete():
             trace.early_termination = "graph became complete"
             break
         events: list[str] = []
@@ -222,8 +223,8 @@ def run_augmentation(
 
         for cand in raw:
             cu, cv = cand
-            if cu == cv or _canon(cu, cv) in ens.edges:
-                resolved = resolve_collision(kind, cand, g.n, ens.edges, broadcast_order, rng)
+            if cu == cv or ens.graph.has_edge(cu, cv):
+                resolved = resolve_collision(kind, cand, ens.graph, broadcast_order, rng)
             else:
                 resolved = _canon(cu, cv)
             if resolved is None:
@@ -250,8 +251,7 @@ def run_augmentation(
         if on_step is not None:
             on_step(step + 1, added_total, est)
 
-    augmented = g.with_edges(trace.edges_added)
-    return trace, augmented
+    return trace, ens.graph
 
 
 def write_trace_csv(trace: InterventionTrace, orig_ids: np.ndarray, path: str) -> None:

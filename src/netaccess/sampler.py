@@ -172,9 +172,9 @@ class SampleEnsemble:
     component-size table. Insertion keeps both: it only relabels a merged
     component to another label of its own row, so it can leave unused ids
     inside a row's range, which a build from it keeps as empty components.
-    ``edges`` tracks the current canonical edge set:
-    incremental insertion rejects duplicates against it and adds to it, so
-    it is the augmented graph's edge set.
+    ``graph`` is the graph the samples are drawn on: incremental insertion
+    rejects an edge it has and replaces it by the graph with that edge, so
+    after insertions it is the augmented graph.
     """
 
     n: int
@@ -182,7 +182,7 @@ class SampleEnsemble:
     seed: int
     alpha: float
     labels: np.ndarray
-    edges: set[tuple[int, int]]
+    graph: Graph
 
 
 @dataclass
@@ -405,16 +405,13 @@ def build_ensemble(
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     n = g.n
-    # taken before the n x n arrays exist: a first build of g.edge_set
-    # among them raised peak RSS by ~12 MB through heap fragmentation
-    edges = set(g.edge_set)
     eu, ev = g.eu, g.ev
     prev = None
     if below is not None:
         if not (
             (below.n, below.seed, below.R) == (n, seed, R)
             and below.alpha <= alpha
-            and below.edges <= edges
+            and g.has_edges(below.graph.eu, below.graph.ev).all()
         ):
             raise ValueError(
                 "below was built for another n, seed or R, a higher alpha or edges outside g"
@@ -423,10 +420,7 @@ def build_ensemble(
         if below.alpha == alpha:
             # below's edges have the same coins here, and each live one
             # already joins nodes of one of below's components
-            fresh = np.fromiter(
-                (e not in below.edges for e in zip(eu.tolist(), ev.tolist())),
-                dtype=bool, count=g.m,
-            )
+            fresh = ~below.graph.has_edges(eu, ev)
             eu, ev = eu[fresh], ev[fresh]
     hashes = _edge_hashes(seed, eu, ev)
     blocks = [(lo, min(lo + _BLOCK, R)) for lo in range(0, R, _BLOCK)]
@@ -456,9 +450,7 @@ def build_ensemble(
         counters -= row_out[:, None]
         counters += (rc - row_out)[None, :]
         np.fill_diagonal(counters, R)
-    ens = SampleEnsemble(
-        n=n, R=R, seed=seed, alpha=alpha, labels=labels, edges=edges
-    )
+    ens = SampleEnsemble(n=n, R=R, seed=seed, alpha=alpha, labels=labels, graph=g)
     return ens, AccessEstimate(n=n, R=R, counters=counters)
 
 
@@ -474,15 +466,9 @@ def add_edge_incremental(
     the updated state equals a from-scratch build on the augmented graph
     with the same seed (same coin function). Mutates and returns (ens, est).
     """
-    u, v = e
-    if u > v:
-        u, v = v, u
-    if u == v:
-        raise ValueError(f"self-loop ({u},{v})")
-    if not (0 <= u < ens.n and 0 <= v < ens.n):
-        raise ValueError(f"edge ({u},{v}) out of range for n={ens.n}")
-    if (u, v) in ens.edges:
-        raise ValueError(f"edge ({u},{v}) already present")
+    # raises on a self-loop, an id out of range or an edge already present
+    graph = ens.graph.with_edges([e])
+    u, v = min(e), max(e)
 
     eh = _edge_hashes(ens.seed, np.array([u]), np.array([v]))
     live = _live_rows(eh, 0, ens.R, ens.alpha)[:, 0]
@@ -495,7 +481,7 @@ def add_edge_incremental(
     est.counters += cross
     est.counters += cross.T
     lab[merge_rows] = np.where(side_b, sub[:, [u]], sub)
-    ens.edges.add((u, v))
+    ens.graph = graph
     return ens, est
 
 
@@ -542,14 +528,15 @@ def stability_check(
     """Estimate reps times with consecutive seeds and measure fluctuation.
 
     Returns (max_dev, mean_dev): the maximum and the mean, over all node
-    pairs, of the max-minus-min estimate across repetitions.
+    pairs, of the max-minus-min estimate across repetitions, each the
+    correctly rounded quotient of its exact integer counter value.
     """
     if reps < 2:
         raise ValueError(f"reps must be at least 2, got {reps}")
     if g.n < 2:
         raise ValueError(f"stability needs at least 2 nodes, got n={g.n}")
-    # counter extremes, not their quotients: c/R is monotone and correctly
-    # rounded, so min(c)/R == min(c/R) and only the last step needs floats
+    # extremes of the counters, not of their quotients: the spreads are
+    # integers, so both results are one exact division each
     cmin = cmax = None
     for rep in range(reps):
         counters = build_ensemble(g, alpha, R, base_seed + rep, workers=workers)[1].counters
@@ -559,10 +546,10 @@ def stability_check(
             np.minimum(cmin, counters, out=cmin)
             np.maximum(cmax, counters, out=cmax)
         del counters  # freed before the next rep is built
-    off = ~np.eye(g.n, dtype=bool)
-    dev = cmax[off] / float(R)
-    dev -= cmin[off] / float(R)
-    return float(dev.max()), float(dev.mean())
+    # every rep's diagonal is R, so the spread's diagonal is 0 and the
+    # maximum and sum over all cells are those over the off-diagonal pairs
+    diff = np.subtract(cmax, cmin, out=cmax)
+    return int(diff.max()) / R, int(diff.sum(dtype=np.int64)) / (R * g.n * (g.n - 1))
 
 
 def _padded(strings: list[str]) -> np.ndarray:

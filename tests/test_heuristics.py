@@ -38,38 +38,42 @@ def test_select_center_tie_takes_first():
 # --- collision resolution -------------------------------------------------
 
 
-def _state(text):
-    g = na.load_edge_list(text)
-    return g.n, set(g.edge_set)
-
-
 def test_collision_center_kind_walks_to_next_non_neighbor():
-    state = _state(b"0 1\n0 2\n0 3\n")
+    g = na.load_edge_list(b"0 1\n0 2\n0 3\n")
     order = np.array([0, 1, 2, 3])  # descending initial broadcast
     rng = np.random.default_rng(0)
-    resolved = resolve_collision("bc-one", (1, 0), *state, order, rng)
+    resolved = resolve_collision("bc-one", (1, 0), g, order, rng)
     assert resolved == (1, 2)
 
 
 def test_collision_center_kind_skips_when_saturated():
-    state = _state(b"0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")  # K4
+    g = na.load_edge_list(b"0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")  # K4
     order = np.array([0, 1, 2, 3])
     rng = np.random.default_rng(0)
-    assert resolve_collision("infl", (1, 0), *state, order, rng) is None
+    assert resolve_collision("infl", (1, 0), g, order, rng) is None
+
+
+def test_collision_redraw_skips_on_a_complete_graph():
+    # no edge is legal on K4, so a redraw could never end
+    g = na.load_edge_list(b"0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    for kind in ("rand", "bc-chord", "diam-chord"):
+        for cand in ((0, 1), (2, 2)):
+            rng = np.random.default_rng(0)
+            assert resolve_collision(kind, cand, g, np.array([0, 1, 2, 3]), rng) is None
 
 
 def test_collision_redraw_finds_the_only_legal_edge():
     # path 0-1-2: the only absent edge is (0,2), any redraw must land there
-    state = _state(b"0 1\n1 2\n")
+    g = na.load_edge_list(b"0 1\n1 2\n")
     rng = np.random.default_rng(5)
-    resolved = resolve_collision("rand", (1, 1), *state, np.array([1, 0, 2]), rng)
+    resolved = resolve_collision("rand", (1, 1), g, np.array([1, 0, 2]), rng)
     assert tuple(sorted(resolved)) == (0, 2)
 
 
 def test_collision_legal_candidate_passes_through():
-    state = _state(b"0 1\n1 2\n")
+    g = na.load_edge_list(b"0 1\n1 2\n")
     rng = np.random.default_rng(0)
-    assert resolve_collision("bc-chord", (0, 2), *state, np.array([1, 0, 2]), rng) == (0, 2)
+    assert resolve_collision("bc-chord", (0, 2), g, np.array([1, 0, 2]), rng) == (0, 2)
 
 
 # --- run validation -------------------------------------------------------
@@ -149,10 +153,10 @@ def test_diameter_steps_take_the_recomputed_farthest_pair(text):
     for rec in trace.steps:
         expect = []
         for x in argmax_pair(distance_matrix(g.with_edges(added))):
-            edges = g.with_edges(added + expect).edge_set
+            h = g.with_edges(added + expect)
             e = (min(x, c), max(x, c))
-            if x == c or e in edges:
-                e = resolve_collision("diam-both", (x, c), g.n, edges, order, None)
+            if x == c or h.has_edge(x, c):
+                e = resolve_collision("diam-both", (x, c), h, order, None)
             if e is not None:
                 expect.append(e)
         assert rec.edges == expect
@@ -195,6 +199,18 @@ def test_saturated_center_step_records_skip():
     assert len(trace.steps[0].events) == 1
     assert "skipped" in trace.steps[0].events[0]
     assert aug.is_complete()
+
+
+def test_returned_graph_is_the_start_plus_the_traced_edges():
+    # a path has room for every step; on K4 minus an edge steps collide,
+    # skip and stop at completion
+    for text in (PATH6, b"0 1\n0 2\n0 3\n1 2\n1 3\n"):
+        g = na.load_edge_list(text)
+        for kind in na.HEURISTIC_KINDS:
+            trace, aug = na.run_augmentation(g, kind, 4, 0.5, 300, 1)
+            expect = g.with_edges(trace.edges_added)
+            assert np.array_equal(aug.eu, expect.eu) and np.array_equal(aug.ev, expect.ev)
+            assert aug.n == g.n and np.array_equal(aug.orig_ids, g.orig_ids)
 
 
 def test_welfare_never_decreases_any_heuristic():

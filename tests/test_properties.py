@@ -103,8 +103,11 @@ def test_broadcast_below_influence(est):
     assert np.all(b >= 0.0)
 
 
-@given(edge_graphs(), alphas, seeds, st.integers(0, 10**6))
-def test_incremental_equals_rebuild(g, alpha, seed, pick):
+@given(edge_graphs(), alphas, seeds, st.data())
+def test_incremental_equals_rebuild(g, alpha, seed, data):
+    """Inserting absent edges one at a time grows the ensemble's graph to
+    g.with_edges of them, and equals a fresh build on that graph: the same
+    counters and the same label partition."""
     absent = [
         (i, j)
         for i in range(g.n)
@@ -112,14 +115,19 @@ def test_incremental_equals_rebuild(g, alpha, seed, pick):
         if not g.has_edge(i, j)
     ]
     assume(absent)
-    e = absent[pick % len(absent)]
+    adds = data.draw(st.lists(st.sampled_from(absent), min_size=1, unique=True))
+    adds = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in adds]
     ens, est = na.build_ensemble(g, alpha, 64, seed)
-    before = est.counters.copy()
-    na.add_edge_incremental(ens, est, e)
-    _, rebuilt = na.build_ensemble(g.with_edges([e]), alpha, 64, seed)
+    for e in adds:
+        before = est.counters.copy()
+        na.add_edge_incremental(ens, est, e)
+        # coupling makes growth exact, never negative
+        assert np.all(est.counters >= before)
+    grown = g.with_edges(adds)
+    assert np.array_equal(ens.graph.eu, grown.eu) and np.array_equal(ens.graph.ev, grown.ev)
+    rebuilt_ens, rebuilt = na.build_ensemble(ens.graph, alpha, 64, seed)
     assert np.array_equal(est.counters, rebuilt.counters)
-    # coupling makes growth exact, never negative
-    assert np.all(est.counters >= before)
+    assert _same_partition(ens.labels, rebuilt_ens.labels)
 
 
 @given(edge_graphs(), alphas, alphas, seeds)
@@ -250,6 +258,10 @@ def _edges(G: nx.Graph) -> set:
     return {tuple(sorted(e)) for e in G.edges}
 
 
+def _dense_edges(g) -> set:
+    return set(zip(g.eu.tolist(), g.ev.tolist()))
+
+
 def _orig_edges(g) -> set:
     o = g.orig_ids.tolist()
     return {(o[u], o[v]) for u, v in zip(g.eu.tolist(), g.ev.tolist())}
@@ -259,8 +271,7 @@ def _assert_canonical(g):
     assert np.all(np.diff(g.orig_ids) > 0)
     assert np.all(g.eu < g.ev)
     assert np.all(np.diff(g.eu * g.n + g.ev) > 0)
-    # the derived views agree with the arrays they come from
-    assert g.edge_set == set(zip(g.eu.tolist(), g.ev.tolist()))
+    # the derived view agrees with the array it comes from
     assert g.label_map == {o: d for d, o in enumerate(g.orig_ids.tolist())}
 
 
@@ -301,18 +312,66 @@ def test_with_edges_equals_reload_with_added_lines(lines, data):
         assert np.array_equal(getattr(g2, name), getattr(reloaded, name))
 
 
+@settings(max_examples=200)
+@given(edge_lines(), st.data())
+def test_membership_and_insertion_match_a_set_model(lines, data):
+    """has_edge, has_edges and with_edges agree with a Python set of the
+    graph's dense pairs. A batch is raised on at its first illegal edge, in
+    the batch's order: out of range, then self-loop, then already present
+    (in the graph or earlier in the batch); a legal batch gives the set's
+    union in canonical order over the same nodes."""
+    g = na.load_edge_list(_text(lines))
+    model = _dense_edges(g)
+    ids = st.integers(-2, g.n + 1)
+    queries = data.draw(st.lists(st.tuples(ids, ids), max_size=12))
+    expect = [(min(u, v), max(u, v)) in model for u, v in queries]
+    assert [g.has_edge(u, v) for u, v in queries] == expect
+    a, b = np.array(queries, dtype=np.int64).reshape(-1, 2).T
+    assert g.has_edges(a, b).tolist() == expect
+
+    absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in model]
+    batch = data.draw(st.lists(st.sampled_from(absent), unique=True)) if absent else []
+    batch = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in batch]
+    if data.draw(st.booleans()):
+        # any pair at any position: out of range, a self-loop, present or new
+        at = data.draw(st.integers(0, len(batch)))
+        batch.insert(at, data.draw(st.tuples(ids, ids)))
+    error, seen = None, set()
+    for u, v in batch:
+        u, v = min(u, v), max(u, v)
+        if u < 0 or v >= g.n:
+            error = f"edge ({u},{v}) out of range for {g.n} nodes"
+        elif u == v:
+            error = f"self-loop ({u},{v})"
+        elif (u, v) in model | seen:
+            error = f"edge ({u},{v}) already present"
+        if error is not None:
+            break
+        seen.add((u, v))
+    if error is not None:
+        with pytest.raises(ValueError) as exc:
+            g.with_edges(batch)
+        assert str(exc.value) == error
+        return
+    h = g.with_edges(batch)
+    _assert_canonical(h)
+    assert _dense_edges(h) == model | seen
+    assert (h.n, h.ingest) == (g.n, g.ingest) and np.array_equal(h.orig_ids, g.orig_ids)
+    assert [h.has_edge(u, v) for u, v in batch] == [True] * len(batch)
+
+
 @given(edge_lines(), st.data())
 def test_without_node_edges_matches_networkx(lines, data):
     g = na.load_edge_list(_text(lines))
     c = data.draw(st.integers(0, g.n - 1))
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edge_set)  # caches g's edge set before the copy
+    G.add_edges_from(_dense_edges(g))
     G.remove_edges_from(list(G.edges(c)))
     h = g.without_node_edges(c)
     _assert_canonical(h)
     assert h.n == g.n and np.array_equal(h.orig_ids, g.orig_ids)
-    assert h.edge_set == _edges(G)
+    assert _dense_edges(h) == _edges(G)
 
 
 @given(edge_lines(), st.data())
@@ -325,7 +384,7 @@ def test_distance_update_equals_recomputation(lines, data):
     dist = distance_matrix(g)
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edge_set)
+    G.add_edges_from(_dense_edges(g))
     hops = dict(nx.all_pairs_shortest_path_length(G))
     assert dist.tolist() == [[hops[i].get(j, g.n) for j in range(g.n)] for i in range(g.n)]
     for t, (u, v) in enumerate(new):

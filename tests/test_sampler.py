@@ -1,5 +1,6 @@
 import struct
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,8 +345,9 @@ def test_row_labels_are_ranges_in_row_order(monkeypatch):
 
     ens, est = na.build_ensemble(h, 0.5, 1030, 2)
     before = _row_ranges(ens.labels.copy())
-    for e in sorted(g.edge_set - h.edge_set):
-        na.add_edge_incremental(ens, est, e)
+    for e in zip(g.eu.tolist(), g.ev.tolist()):
+        if not h.has_edge(*e):
+            na.add_edge_incremental(ens, est, e)
     for lo, (least, greatest) in zip(range(0, 1030, sampler._BLOCK), before):
         block = ens.labels[lo : lo + sampler._BLOCK]
         assert (block.min(axis=1) >= least).all() and (block.max(axis=1) <= greatest).all()
@@ -503,14 +505,19 @@ def test_stability_check_deterministic():
 
 
 def test_stability_check_equals_quotient_formula():
-    """Extremes taken on the counters, divided by R at the end, give the
-    floats of extremes taken on every rep's c/R."""
+    """max_dev and mean_dev are the correctly rounded floats of the exact
+    quotients: the largest and the mean spread (max minus min counter over
+    the reps) of the off-diagonal pairs, over R."""
     text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
     g = _graph(text)
     R, reps, seed = 300, 4, 5
-    ps = [na.build_ensemble(g, 0.3, R, seed + rep)[1].counters / R for rep in range(reps)]
-    dev = (np.maximum.reduce(ps) - np.minimum.reduce(ps))[~np.eye(g.n, dtype=bool)]
-    assert na.stability_check(g, 0.3, R, reps, seed) == (float(dev.max()), float(dev.mean()))
+    cs = [na.build_ensemble(g, 0.3, R, seed + rep)[1].counters.tolist() for rep in range(reps)]
+    spread = [
+        max(c[i][j] for c in cs) - min(c[i][j] for c in cs)
+        for i in range(g.n) for j in range(g.n) if i != j
+    ]
+    max_dev, mean_dev = Fraction(max(spread), R), Fraction(sum(spread), R * len(spread))
+    assert na.stability_check(g, 0.3, R, reps, seed) == (float(max_dev), float(mean_dev))
 
 
 def test_stability_check_rejects_single_rep():
