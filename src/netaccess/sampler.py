@@ -72,7 +72,13 @@ The access summary and control read the pairs i < j in row bands of at
 most ``_BAND_WORK`` pairs (``triu_bands``), never an all-pairs index. An
 estimate's access values are the R + 1 fractions c/R, so ``access.csv``
 is written from the counters through a table of those values formatted
-once, and each row's bytes are assembled in numpy from padded fields.
+once. Its rows are assembled in bands of rows of one id width, at most
+``_CSV_CELLS`` cells each; a band's columns are cut into runs of one id
+width, and each run is filled as one array of fixed-width records (row id,
+column id, value), so a row is one slice of the band's buffer. Only a
+value table whose entries differ in width (a float matrix holding nan,
+inf, -0.0 or huge values) pads its values, with 0 bytes dropped from each
+row before it is written.
 
 The exact oracle labels all 2^m coin outcomes in chunks like sample blocks
 and adds their one-hot product weighted by each outcome's probability.
@@ -81,6 +87,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import itertools
 import math
 import struct
 import threading
@@ -102,6 +109,7 @@ _LABEL_CELLS = 1 << 18  # nodes plus live edges per labelling call; bounds its b
 _BAND_WORK = 1 << 18  # product work per band of counted node rows; bounds its buffers
 ORACLE_EDGE_CAP = 20
 _ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
+_CSV_CELLS = 1 << 16  # access.csv cells assembled at once; bounds the writer's buffer
 
 ESTIMATE_MAGIC = b"ACE1"
 
@@ -581,24 +589,76 @@ def write_access_csv(
     values: AccessEstimate | np.ndarray, orig_ids: np.ndarray, path: str
 ) -> None:
     """CSV "i,j,p" over original ids with i<j, each value exactly f"{p:.6f}",
-    from an estimate or any n x n matrix p.
+    from an estimate or any n x n matrix p with one id per row.
 
-    Each row's bytes are assembled in numpy: one (pairs, W) uint8 array holds
-    the zero-padded fields "a,", "b," and the value looked up in the table of
-    ``_value_codes``. No output byte is 0, so dropping the 0 bytes compacts
-    the fields into the row's text. Rows are written one at a time, so no
-    all-pairs buffer is held."""
+    Rows are assembled in bands of rows whose heads f"{id}," have one width,
+    as many rows of n cells as ``_CSV_CELLS`` holds (at least one). A band's
+    columns j > lo (its first row) are cut into the runs of equal head width
+    in node order, one run per digit count when the ids ascend, as every
+    Graph's do. Each run is a view of the band's uint8 buffer as packed
+    records (row head, column head, value), filled by three assignments: the
+    band's row heads, the run's column heads and the values looked up in the
+    table of ``_value_codes``. Each row is then written with one ``write``
+    from its column i+1; the cells j <= i of the band's diagonal block are
+    filled and skipped. When the table's entries differ in width (a float
+    matrix holding nan, inf, -0.0 or huge values) the value fields keep
+    their 0 padding, and each row's 0 bytes, never an output byte, are
+    dropped before its write. No all-pairs buffer is held.
+
+    Raises ValueError, before the file is opened, unless the values form an
+    n x n matrix for the n ids."""
+    shape = np.shape(values.counters if isinstance(values, AccessEstimate) else values)
+    n = len(orig_ids)
+    if shape != (n, n):
+        raise ValueError(
+            f"access values must be an n x n matrix for n ids: got shape {shape} and {n} ids"
+        )
     codes, table = _value_codes(values)
-    heads = _padded([f"{b}," for b in orig_ids.tolist()])
-    n, w = heads.shape
+    vw = table.shape[1]
+    vals = table.view(f"S{vw}")[:, 0]
+    padded = not table.all()  # entries of unequal width, ending in 0 bytes
+    # (start, stop, width, heads): the runs of equal head width in node order
+    runs = []
+    for w, group in itertools.groupby((f"{b},".encode() for b in orig_ids.tolist()), len):
+        heads = np.array(list(group))
+        a = runs[-1][1] if runs else 0
+        runs.append((a, a + len(heads), w, heads))
+    band = max(1, _CSV_CELLS // max(n, 1))
     with open(path, "wb") as fh:
         fh.write(b"i,j,p\n")
-        for i in range(n - 1):
-            cells = np.empty((n - 1 - i, 2 * w + table.shape[1]), dtype=np.uint8)
-            cells[:, :w] = heads[i]
-            cells[:, w : 2 * w] = heads[i + 1 :]
-            cells[:, 2 * w :] = table[codes[i, i + 1 :]]
-            fh.write(cells[cells != 0])
+        for a, b, wi, row_heads in runs:
+            for lo in range(a, min(b, n - 1), band):
+                hi = min(lo + band, b, n - 1)
+                # the band's columns j > lo, cut at the runs
+                cols = [(max(c, lo + 1), d, wj, heads[max(lo + 1 - c, 0) :])
+                        for c, d, wj, heads in runs if d > lo + 1]
+                size = sum((d - c) * (wi + wj + vw) for c, d, wj, _ in cols)
+                buf = np.empty((hi - lo, size), dtype=np.uint8)
+                starts = []  # row i's offset of its column i+1
+                off = 0
+                for c, d, wj, col_heads in cols:
+                    rec = wi + wj + vw
+                    cells = buf[:, off : off + (d - c) * rec].view(
+                        [("hi", f"S{wi}"), ("hj", f"S{wj}"), ("v", f"S{vw}")]
+                    )
+                    # row heads repeated and values taken into contiguous arrays:
+                    # numpy copies a bytes field from a source broadcast along
+                    # the row, and gathers one by fancy indexing, several times
+                    # slower
+                    cells["hi"] = np.repeat(row_heads[lo - a : hi - a], d - c).reshape(
+                        hi - lo, d - c
+                    )
+                    cells["hj"] = col_heads
+                    cells["v"] = np.take(vals, codes[lo:hi, c:d])
+                    starts.extend(range(off, off + (min(d, hi + 1) - c) * rec, rec))
+                    off += (d - c) * rec
+                flat = memoryview(buf).cast("B")
+                for r, s in enumerate(starts):
+                    if padded:
+                        row = buf[r, s:]
+                        fh.write(row[row != 0])
+                    else:
+                        fh.write(flat[r * size + s : (r + 1) * size])
 
 
 def save_estimate(est: AccessEstimate, orig_ids: np.ndarray, alpha: float, seed: int, path: str) -> None:

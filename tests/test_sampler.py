@@ -1,3 +1,4 @@
+import re
 import struct
 import threading
 from fractions import Fraction
@@ -540,6 +541,24 @@ def test_access_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "5" and first[1] == "7"
     assert len(first[2].split(".")[1]) == 6
+
+
+@pytest.mark.parametrize(
+    "values, n_ids",
+    [
+        (np.ones((3, 3)), 2),
+        (np.ones((3, 3)), 4),
+        (np.ones((2, 3)), 2),
+        (np.ones((2, 3)), 3),
+        (na.AccessEstimate(n=3, R=1, counters=np.ones((3, 3), dtype=np.int32)), 2),
+    ],
+)
+def test_access_csv_rejects_mismatched_shapes_before_writing(tmp_path, values, n_ids):
+    out = tmp_path / "access.csv"
+    shape = values.counters.shape if isinstance(values, na.AccessEstimate) else values.shape
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} and {n_ids} ids")):
+        na.write_access_csv(values, np.arange(n_ids), str(out))
+    assert not out.exists()
 
 
 def test_estimate_save_load_round_trip(tmp_path):
