@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bands import pieces
 from .graphs import Graph
 from .sampler import (
     AccessEstimate,
@@ -133,17 +134,7 @@ def _removal_groups(g: Graph, nodes: list[int]) -> list[list[int]]:
     """``nodes`` in order, cut into runs whose degrees total at most
     ``_GROUP_SHARE`` of m, or into a run of one node of higher degree."""
     deg = np.bincount(np.concatenate([g.eu, g.ev]), minlength=g.n)
-    groups: list[list[int]] = []
-    total = 0
-    for c in nodes:
-        d = int(deg[c])
-        if groups and total + d <= _GROUP_SHARE * g.m:
-            groups[-1].append(c)
-            total += d
-        else:
-            groups.append([c])
-            total = d
-    return groups
+    return [nodes[lo:hi] for lo, hi in pieces(deg[nodes], _GROUP_SHARE * g.m)]
 
 
 def _control_report(c: int, base: np.ndarray, removed: np.ndarray, scale: float) -> ControlReport:

@@ -1,5 +1,10 @@
 """Evaluation reports: advantage gaps, distribution summaries, signature
-distances, and the metric bundle that gathers them for one estimate."""
+distances, and the metric bundle that gathers them for one estimate.
+
+Signature distances read counter rows in bands of ``_bands.band_rows(n)``
+rows, n float64 cells each (the cdist bands of a cached update and the
+chunks of sampled pairs), so their buffers hold about ``_bands.CELLS``
+cells whatever n is."""
 from __future__ import annotations
 
 import logging
@@ -7,8 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._bands import band_rows
 from .advantage import broadcast_all, influence_all, welfare
-from .sampler import _BAND_WORK, AccessEstimate, triu_bands
+from .sampler import AccessEstimate, triu_bands
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +143,7 @@ def _counter_distances(
                 d -= pdist(cache.counters[:, s].astype(np.float64), scipy_metric)
                 s_rows = counters[s].astype(np.float64)
                 rows = np.empty((len(s), n))
-                step = max(1, _BAND_WORK // n)
+                step = band_rows(n)
                 for lo in range(0, n, step):
                     band = counters[lo : lo + step].astype(np.float64)
                     rows[:, lo : lo + step] = cdist(s_rows, band, scipy_metric)
@@ -189,8 +195,8 @@ def signature_distances(
     if sample_pairs is not None:
         iu, ju = _sample_pairs(n, sample_pairs, seed)
         raw = np.empty(sample_pairs)
-        # a chunk of pairs' row differences holds about _BAND_WORK cells
-        step = max(1, _BAND_WORK // n)
+        # a chunk of pairs' row differences holds about _bands.CELLS cells
+        step = band_rows(n)
         for lo in range(0, sample_pairs, step):
             diff = counters[iu[lo : lo + step]].astype(np.float64)
             diff -= counters[ju[lo : lo + step]]

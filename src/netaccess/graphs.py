@@ -9,7 +9,7 @@ All user-facing output maps back through ``orig_ids``.
 All-pairs hop distances come from a bit-parallel multi-source BFS into one
 int32 matrix (``distance_matrix``) and are kept exact under edge insertion
 by a row-banded update (``add_edge_distances``); beside that matrix, each
-holds buffers of about ``_HOP_CELLS`` words or cells, whatever n is.
+holds buffers of about ``_bands.CELLS`` words or cells, whatever n is.
 """
 from __future__ import annotations
 
@@ -21,12 +21,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._bands import band_rows
+
 logger = logging.getLogger(__name__)
 
 _MAX_NODE_ID = 2**63 - 1
-# words per BFS level buffer and int32 cells per distance-update band; bounds
-# the buffers of both, whatever n is
-_HOP_CELLS = 1 << 18
 
 
 class EdgeListParseError(ValueError):
@@ -232,7 +231,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     Level-synchronous multi-source BFS over packed source bitsets (MS-BFS,
     Then et al., PVLDB 8(4), 2014). Sources are packed 64 to a uint64 word
     and swept in chunks of whole words, as many as keep each level's
-    buffers (n + 2m rows of chunk words) within about ``_HOP_CELLS`` words,
+    buffers (n + 2m rows of chunk words) within about ``_bands.CELLS`` words,
     and at least one. Bit b of node v's word k is set when source 64k + b
     reaches v: a level ORs the frontier words of v's neighbours and keeps
     the bits not reached before. Only nonzero words are unpacked to write
@@ -250,8 +249,8 @@ def distance_matrix(g: Graph) -> np.ndarray:
     has = np.diff(adj.indptr) > 0
     starts = adj.indptr[:-1][has]
     words = -(-n // 64)
-    step = max(1, _HOP_CELLS // (n + len(nbrs)))
-    piece = max(1, _HOP_CELLS // 256)  # words unpacked at once: at most _HOP_CELLS / 4 bits
+    step = band_rows(n + len(nbrs))
+    piece = band_rows(256)  # words unpacked at once: at most _bands.CELLS / 4 bits
     for w0 in range(0, words, step):
         w = min(words - w0, step)
         lo = 64 * w0
@@ -287,14 +286,14 @@ def add_edge_distances(dist: np.ndarray, u: int, v: int) -> None:
     D = min(D, D[:,u]+1+D[v,:], D[:,v]+1+D[u,:]), every term read from D
     before the insertion. D is symmetric, so its columns u and v are copies
     of rows u and v, taken first; the matrix is then updated in row bands of
-    about ``_HOP_CELLS`` cells, so no n x n temporary is formed. A sum with
+    about ``_bands.CELLS`` cells, so no n x n temporary is formed. A sum with
     a sentinel term is at least n+1 and never replaces an entry, so
     unreachable pairs keep the sentinel.
     """
     # rows u and v are columns u and v; the +1 is the new edge's hop
     du = dist[u] + 1
     dv = dist[v].copy()
-    step = max(1, _HOP_CELLS // len(dist))
+    step = band_rows(len(dist))
     for lo in range(0, len(dist), step):
         band = dist[lo : lo + step]
         np.minimum(band, du[lo : lo + step, None] + dv, out=band)

@@ -19,7 +19,7 @@ for its edges as the full graph's would.
 
 Samples are drawn in blocks of 512 and each block is labelled as the
 disjoint union of its samples, a piece of consecutive samples at a time: a
-piece holds at most ``_LABEL_CELLS`` nodes plus live edges (or, on an
+piece holds at most ``_bands.CELLS`` nodes plus live edges (or, on an
 earlier ensemble, gathered earlier labels), so a worker's labelling buffers
 do not grow with the block. Each piece's labels are counted on from the
 components of the pieces before it. scipy numbers components in the order
@@ -61,7 +61,7 @@ group, if any, each node joins is then one gather from a per-label table.
 A build has one n x n accumulator, shared by its workers: each block
 adds its product to it a band of node rows at a time, each band's product
 work (the sizes of its rows' groups summed, which bounds its nonzeros) at
-most ``_BAND_WORK`` unless it is a single row, under one lock. Integer
+most ``_bands.CELLS`` unless it is a single row, under one lock. Integer
 addition is exact and commutes, so the order in which bands and blocks
 arrive does not change a counter. Inserting an edge adds A^T B and its
 transpose, A and B being the two sides it merges in each sample. Counters
@@ -69,16 +69,20 @@ are 32-bit, so R < 2**31, and a build accumulates them in 32 bits: every
 partial sum lies in [-R, R].
 
 The access summary and control read the pairs i < j in row bands of at
-most ``_BAND_WORK`` pairs (``triu_bands``), never an all-pairs index. An
+most ``_bands.CELLS`` pairs (``triu_bands``), never an all-pairs index. An
 estimate's access values are the R + 1 fractions c/R, so ``access.csv``
 is written from the counters through a table of those values formatted
 once. Its rows are assembled in bands of rows of one id width, at most
-``_CSV_CELLS`` cells each; a band's columns are cut into runs of one id
-width, and each run is filled as one array of fixed-width records (row id,
+``_bands.CELLS`` / 4 cells each; a band's columns are cut into runs of one
+id width, and each run is filled as one array of fixed-width records (row id,
 column id, value), so a row is one slice of the band's buffer. Only a
 value table whose entries differ in width (a float matrix holding nan,
 inf, -0.0 or huge values) pads its values, with 0 bytes dropped from each
 row before it is written.
+
+Every bounded loop here (coin chunks, labelling pieces, counting bands,
+pair bands, ``access.csv`` bands) cuts its work against the one bound
+``_bands.CELLS``, read when the loop starts.
 
 The exact oracle labels all 2^m coin outcomes in chunks like sample blocks
 and adds their one-hot product weighted by each outcome's probability.
@@ -98,18 +102,20 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._bands import band_rows, pieces
 from .graphs import Graph
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# samples per block: the unit of work handed to a worker and of the label
+# ranges (``SampleEnsemble``), so it fixes how labels are numbered, not only
+# how much is held; not a working-set bound
 _BLOCK = 512
-_COIN_BYTES = 1 << 20  # uint64 hashes mixed at once; bounds each worker's coin buffer
-_LABEL_CELLS = 1 << 18  # nodes plus live edges per labelling call; bounds its buffers
-_BAND_WORK = 1 << 18  # product work per band of counted node rows; bounds its buffers
 ORACLE_EDGE_CAP = 20
-_ORACLE_CHUNK = 1 << 14  # masks per labelling call; bounds the oracle's memory
-_CSV_CELLS = 1 << 16  # access.csv cells assembled at once; bounds the writer's buffer
+# masks per oracle labelling call: the chunks fix the order in which p's
+# float terms are summed, so a bound cut from CELLS would change its bits
+_ORACLE_CHUNK = 1 << 14
 
 ESTIMATE_MAGIC = b"ACE1"
 
@@ -141,13 +147,13 @@ def _live_rows(edge_hash: np.ndarray, r_lo: int, r_hi: int, alpha: float) -> np.
     Edge e is live in sample r iff u = (h >> 11) * 2**-53 < alpha, h being
     the mixed hash. alpha * 2**53 is exact, so that is the integer test
     h < ceil(alpha * 2**53) << 11, which fits 64 bits for alpha in (0, 1).
-    The hashes are mixed a chunk of rows at a time, about ``_COIN_BYTES``
-    of uint64, in place in two buffers reused by every chunk, and each
-    chunk's test is written into the result."""
+    The hashes are mixed a chunk of rows at a time, in place in two uint64
+    buffers reused by every chunk (a row costs 2m cells of the bound), and
+    each chunk's test is written into the result."""
     m = len(edge_hash)
     live = np.empty((r_hi - r_lo, m), dtype=bool)
     threshold = np.uint64(math.ceil(alpha * 2**53) << 11)
-    step = max(1, min(_COIN_BYTES // (8 * max(m, 1)), r_hi - r_lo))
+    step = min(band_rows(2 * m), r_hi - r_lo)
     # one allocation for both buffers: two of their own measured ~3 MB more
     # peak RSS on estimate-sweep (heap layout, not live bytes)
     h, tmp = np.empty((2, step, m), dtype=np.uint64)
@@ -263,25 +269,12 @@ def _merge_rows(
     return n_comp, merged[prev.ravel()]
 
 
-def _pieces(cost: np.ndarray, bound: int) -> list[tuple[int, int]]:
-    """Consecutive row ranges covering ``cost`` (one entry per row), each
-    costing at most ``bound`` in all unless it is a single row."""
-    ends = np.cumsum(cost)
-    pieces = []
-    lo = 0
-    while lo < len(ends):
-        spent = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, spent + bound, side="right")))
-        pieces.append((lo, hi))
-        lo = hi
-    return pieces
-
-
 def triu_bands(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Row bands (lo, hi, mask) of an n x n matrix m's strict upper triangle:
     ``m[lo:hi][mask]`` are the band's pairs i < j in row-major order, at
-    most ``_BAND_WORK`` unless it is a single row. Each mask is fresh."""
-    for lo, hi in _pieces(np.arange(n - 1, -1, -1), _BAND_WORK):
+    most the bound (``_bands.CELLS``) unless it is a single row. Each mask
+    is fresh."""
+    for lo, hi in pieces(np.arange(n - 1, -1, -1)):
         yield lo, hi, np.arange(n) > np.arange(lo, hi)[:, None]
 
 
@@ -304,7 +297,7 @@ def _accumulate_block(
     With ``prev`` None the block is labelled afresh; otherwise ``prev``
     holds an earlier, finer labelling of the same samples and the block is
     labelled on its components (``_merge_rows``). Either way the rows are
-    labelled in pieces of at most ``_LABEL_CELLS`` nodes plus live edges or
+    labelled in pieces of at most ``_bands.CELLS`` nodes plus live edges or
     gathered ``prev`` cells, each piece's labels counted on from the
     components of the pieces before it: that is the labelling of the whole
     block in one call, label for label.
@@ -313,7 +306,7 @@ def _accumulate_block(
     component of two or more nodes except the giants, and one group per
     giant sample holding the nodes outside its giant. G^T G is added to
     ``same`` a band of node rows at a time, each band's product work at
-    most ``_BAND_WORK`` unless it is a single row, and each addition holds
+    most ``_bands.CELLS`` unless it is a single row, and each addition holds
     ``lock``. Returns (None, per-node outside-giant counts, the block's
     component labels, number of giant samples); without ``same`` nothing
     is counted and the counts are None. Labels are unique across the
@@ -326,7 +319,7 @@ def _accumulate_block(
     n_comp = 0
     # a row costs its nodes plus its live edges or gathered prev cells
     cost = n + (live.sum(axis=1) if prev is None else np.full(b, len(eu)))
-    for lo, hi in _pieces(cost, _LABEL_CELLS):
+    for lo, hi in pieces(cost):
         if prev is None:
             k, flat = _label_rows(n, eu, ev, live[lo:hi])
         else:
@@ -375,7 +368,7 @@ def _accumulate_block(
     members = gt.T.tocsr()
     # a row's product work, the sizes of its groups summed, bounds its nonzeros
     work = gt @ np.diff(members.indptr)
-    for lo, hi in _pieces(work, _BAND_WORK):
+    for lo, hi in pieces(work):
         band = (gt[lo:hi] @ members).toarray()
         with lock:
             same[lo:hi] += band
@@ -592,7 +585,8 @@ def write_access_csv(
     from an estimate or any n x n matrix p with one id per row.
 
     Rows are assembled in bands of rows whose heads f"{id}," have one width,
-    as many rows of n cells as ``_CSV_CELLS`` holds (at least one). A band's
+    as many rows of n cells as the bound holds at four elements a cell (at
+    least one; ``_bands.band_rows``). A band's
     columns j > lo (its first row) are cut into the runs of equal head width
     in node order, one run per digit count when the ids ascend, as every
     Graph's do. Each run is a view of the band's uint8 buffer as packed
@@ -623,7 +617,8 @@ def write_access_csv(
         heads = np.array(list(group))
         a = runs[-1][1] if runs else 0
         runs.append((a, a + len(heads), w, heads))
-    band = max(1, _CSV_CELLS // max(n, 1))
+    # a cell's record and the copies made to fill it weigh about four elements
+    band = band_rows(4 * n)
     with open(path, "wb") as fh:
         fh.write(b"i,j,p\n")
         for a, b, wi, row_heads in runs:

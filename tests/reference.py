@@ -160,6 +160,21 @@ def ref_control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> tuple[fl
     return float(clamped.sum() / len(pj)), max_pair, float(clamped.sum())
 
 
+def ref_pieces(cost: list[int], bound: float) -> list[tuple[int, int]]:
+    """Rows cut greedily in order: a row joins the current piece while the
+    piece's cost stays at most ``bound``, and starts a new one otherwise."""
+    pieces: list[list[int]] = []
+    total = 0
+    for i, c in enumerate(cost):
+        if pieces and total + c <= bound:
+            pieces[-1][1] = i + 1
+            total += c
+        else:
+            pieces.append([i, i + 1])
+            total = c
+    return [(lo, hi) for lo, hi in pieces]
+
+
 def random_connected_graph(rng: np.random.Generator, n_max: int = 8, m_max: int = 16):
     """Random connected simple graph: a random spanning tree plus extra edges."""
     n = int(rng.integers(2, n_max + 1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netaccess as na
-from netaccess import AccessEstimate, sampler
+from netaccess import AccessEstimate, _bands
 from netaccess.advantage import _removal_groups
 from reference import ref_control_report
 
@@ -229,10 +229,10 @@ def test_control_is_the_same_in_one_row_bands_and_one_band(monkeypatch, mode):
 
         def access(graph):
             return na.build_ensemble(graph, alpha, R, seed)[1].counters / R
-    monkeypatch.setattr(sampler, "_BAND_WORK", 2**62)
+    monkeypatch.setattr(_bands, "CELLS", 2**62)
     whole = na.access_centrality(g, alpha, nodes, **kwargs)
     for bound in (1, 7):
-        monkeypatch.setattr(sampler, "_BAND_WORK", bound)
+        monkeypatch.setattr(_bands, "CELLS", bound)
         assert na.access_centrality(g, alpha, nodes, **kwargs) == whole
     p = access(g)
     for c, rep in zip(nodes, whole):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_manifest_contents(graph_file, tmp_path):
     man = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert man["command"] == "estimate"
     assert man["version"]
-    digest = hashlib.sha256(open(graph_file, "rb").read()).hexdigest()
+    digest = hashlib.sha256(Path(graph_file).read_bytes()).hexdigest()
     assert man["input_sha256"] == digest
     cfg = man["config"]
     assert cfg["alpha"] == 0.5 and cfg["R"] == 200 and cfg["seed"] == 3
@@ -75,7 +76,7 @@ def test_multi_alpha_subdirectories(graph_file, tmp_path):
                "--R", "100", "--output-dir", out) == 0
     assert os.path.isdir(os.path.join(out, "alpha_0.3"))
     assert os.path.isdir(os.path.join(out, "alpha_0.7"))
-    m3 = json.loads(open(os.path.join(out, "alpha_0.3", "manifest.json")).read())
+    m3 = json.loads(Path(out, "alpha_0.3", "manifest.json").read_text())
     assert m3["config"]["alpha"] == 0.3
 
 
@@ -157,9 +158,9 @@ def test_no_lcc_keeps_all_components(graph_file, tmp_path):
     cfg.write_text(json.dumps({"lcc": False}))
     out_cfg = str(tmp_path / "cfg")
     run("estimate", "--input", str(f), "--R", "50", "--output-dir", out_cfg, "--config", str(cfg))
-    n_lcc = len(open(os.path.join(out_lcc, "access.csv")).readlines()) - 1
-    n_all = len(open(os.path.join(out_all, "access.csv")).readlines()) - 1
-    n_cfg = len(open(os.path.join(out_cfg, "access.csv")).readlines()) - 1
+    n_lcc = len(Path(out_lcc, "access.csv").read_text().splitlines()) - 1
+    n_all = len(Path(out_all, "access.csv").read_text().splitlines()) - 1
+    n_cfg = len(Path(out_cfg, "access.csv").read_text().splitlines()) - 1
     assert n_lcc == 3   # C(3,2)
     assert n_all == 10  # C(5,2)
     assert n_cfg == 10
@@ -266,16 +267,16 @@ def test_augment_outputs(graph_file, tmp_path):
     files = set(os.listdir(out))
     assert {"trace.csv", "augmented.edges", "manifest.json", "run_summary.json",
             "metrics_k0.json", "metrics_k4.json"} <= files
-    trace = open(os.path.join(out, "trace.csv")).read().splitlines()
+    trace = Path(out, "trace.csv").read_text().splitlines()
     assert trace[0] == "step,u,v,welfare,min_broadcast,min_influence"
     assert len(trace) == 5
-    m0 = json.loads(open(os.path.join(out, "metrics_k0.json")).read())
-    m4 = json.loads(open(os.path.join(out, "metrics_k4.json")).read())
+    m0 = json.loads(Path(out, "metrics_k0.json").read_text())
+    m4 = json.loads(Path(out, "metrics_k4.json").read_text())
     assert m0["k"] == 0 and m4["k"] == 4
     assert m4["welfare"]["value"] >= m0["welfare"]["value"]
-    summary = json.loads(open(os.path.join(out, "run_summary.json")).read())
+    summary = json.loads(Path(out, "run_summary.json").read_text())
     assert summary["edges_added"] == 4
-    aug_lines = open(os.path.join(out, "augmented.edges")).read().splitlines()
+    aug_lines = Path(out, "augmented.edges").read_text().splitlines()
     assert len(aug_lines) == 5 + 4
 
 
@@ -286,7 +287,7 @@ def test_augment_trace_identical_across_worker_counts(graph_file, tmp_path):
         assert run("augment", "--input", graph_file, "--alpha", "0.5",
                    "--R", "400", "--k", "4", "--heuristic", "bc-chord",
                    "--workers", workers, "--output-dir", out) == 0
-        blobs.append(open(os.path.join(out, "trace.csv"), "rb").read())
+        blobs.append(Path(out, "trace.csv").read_bytes())
     assert blobs[0] == blobs[1]
 
 
@@ -408,7 +409,7 @@ def test_every_command_prints_its_summary_line(graph_file, tmp_path, capsys):
         return capsys.readouterr().out, out
 
     def read(out, name):
-        return json.loads(open(os.path.join(out, name)).read())
+        return json.loads(Path(out, name).read_text())
 
     text, out = line("estimate")
     assert text == f"estimate: n=6 m=5 alpha=0.5 R=120 -> {out}\n"
@@ -434,7 +435,7 @@ def test_evaluate_from_graph(graph_file, tmp_path):
     out = str(tmp_path / "ev")
     assert run("evaluate", "--input", graph_file, "--alpha", "0.5", "--R", "200",
                "--output-dir", out) == 0
-    bundle = json.loads(open(os.path.join(out, "metrics_k0.json")).read())
+    bundle = json.loads(Path(out, "metrics_k0.json").read_text())
     assert bundle["k"] == 0 and "welfare" in bundle
 
 
@@ -445,7 +446,7 @@ def test_evaluate_round_trip_through_binary(graph_file, tmp_path):
         "--output-dir", est_dir, "--estimate-out", bin_path)
     ev_dir = str(tmp_path / "ev")
     assert run("evaluate", "--estimate-in", bin_path, "--output-dir", ev_dir) == 0
-    bundle = json.loads(open(os.path.join(ev_dir, "metrics_k0.json")).read())
+    bundle = json.loads(Path(ev_dir, "metrics_k0.json").read_text())
     assert bundle["config"]["alpha"] == 0.5
     assert bundle["config"]["R"] == 300
 
@@ -493,7 +494,7 @@ def test_evaluate_estimate_in_echoes_the_dumps_alpha_and_R(dump, tmp_path):
     for echo in (man["config"], bundle["config"]):
         assert (echo["alpha"], echo["R"], echo["seed"]) == (0.3, 250, 9)
         assert echo["estimate_in"] == dump and echo["sample_pairs"] == 4
-    assert man["input_sha256"] == hashlib.sha256(open(dump, "rb").read()).hexdigest()
+    assert man["input_sha256"] == hashlib.sha256(Path(dump).read_bytes()).hexdigest()
 
 
 def test_evaluate_rejects_both_sources(graph_file, tmp_path):
@@ -507,7 +508,7 @@ def test_oracle_exact_triangle(tmp_path):
     out = str(tmp_path / "or")
     assert run("oracle", "--input", str(f), "--alpha", "0.5",
                "--output-dir", out) == 0
-    rows = open(os.path.join(out, "access.csv")).read().splitlines()[1:]
+    rows = Path(out, "access.csv").read_text().splitlines()[1:]
     assert [r.split(",")[2] for r in rows] == ["0.625000"] * 3
 
 
@@ -596,7 +597,7 @@ def test_stability_json(graph_file, tmp_path):
     out = str(tmp_path / "st")
     assert run("stability", "--input", graph_file, "--alpha", "0.5", "--R", "150",
                "--reps", "3", "--output-dir", out) == 0
-    st = json.loads(open(os.path.join(out, "stability.json")).read())
+    st = json.loads(Path(out, "stability.json").read_text())
     assert set(st) == {"alpha", "R", "reps", "base_seed", "max_dev", "mean_dev"}
     assert 0.0 <= st["mean_dev"] <= st["max_dev"] <= 1.0
 
@@ -607,7 +608,7 @@ def test_control_selected_nodes(tmp_path):
     out = str(tmp_path / "ct")
     assert run("control", "--input", str(f), "--alpha", "0.5", "--R", "200",
                "--nodes", "1", "--output-dir", out) == 0
-    rows = open(os.path.join(out, "control.csv")).read().splitlines()
+    rows = Path(out, "control.csv").read_text().splitlines()
     assert rows[0] == "node,cent_star,max_pair_control,raw_sum"
     node, cent, maxp, raw = rows[1].split(",")
     assert node == "1" and cent == "1.000000" and maxp == "1.000000"
@@ -619,7 +620,7 @@ def test_control_exact_flag(tmp_path):
     out = str(tmp_path / "ct")
     assert run("control", "--input", str(f), "--alpha", "0.5", "--exact",
                "--nodes", "0", "--output-dir", out) == 0
-    rows = open(os.path.join(out, "control.csv")).read().splitlines()
+    rows = Path(out, "control.csv").read_text().splitlines()
     assert rows[1].split(",")[1] == "0.200000"
     # the same run with exact from a config file writes the same bytes
     cfg = tmp_path / "exact.json"
@@ -627,8 +628,8 @@ def test_control_exact_flag(tmp_path):
     out_cfg = str(tmp_path / "ct_cfg")
     assert run("control", "--input", str(f), "--alpha", "0.5", "--config", str(cfg),
                "--nodes", "0", "--output-dir", out_cfg) == 0
-    assert (open(os.path.join(out_cfg, "control.csv")).read()
-            == open(os.path.join(out, "control.csv")).read())
+    assert (Path(out_cfg, "control.csv").read_text()
+            == Path(out, "control.csv").read_text())
 
 
 def test_control_csv_identical_across_worker_counts(tmp_path):

@@ -192,12 +192,12 @@ def test_signature_distances_at_power_of_two_R_equal_pdist_of_p(R, metric, scipy
 def test_sampled_pairs_equal_exact_values(monkeypatch, R, metric):
     """Every sampled pair's value is the exact mode's value at that pair, bit
     for bit, across chunks of pairs (a few pairs per chunk here)."""
-    from netaccess import evaluation
+    from netaccess import _bands, evaluation
 
     est = _chorded_ring_estimate(R)
     n = est.n
     exact = evaluation._scaled(evaluation._counter_distances(est.counters, metric, None), R, metric)
-    monkeypatch.setattr(evaluation, "_BAND_WORK", 4 * n)
+    monkeypatch.setattr(_bands, "CELLS", 4 * n)
     iu, ju = evaluation._sample_pairs(n, 50, 7)
     picked = exact[iu * (2 * n - iu - 1) // 2 + ju - iu - 1]
     summary, pair, value = na.signature_distances(est, metric=metric, sample_pairs=50, seed=7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-import netaccess.graphs as graphs
+import netaccess._bands as _bands
 from netaccess import (
     EdgeListParseError,
     EmptyInputError,
@@ -202,20 +202,20 @@ _HOP_GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("cells", [graphs._HOP_CELLS, 1], ids=["default", "one-word-chunks"])
+@pytest.mark.parametrize("cells", [_bands.CELLS, 1], ids=["default", "one-word-chunks"])
 @pytest.mark.parametrize("g", _HOP_GRAPHS)
 def test_distance_matrix_equals_scipy_shortest_path(g, cells, monkeypatch):
     # a bound of 1 sweeps the sources one 64-bit word per chunk and unpacks
     # one word at a time
-    monkeypatch.setattr(graphs, "_HOP_CELLS", cells)
+    monkeypatch.setattr(_bands, "CELLS", cells)
     dist = distance_matrix(g)
     assert dist.dtype == np.int32 and dist.flags.c_contiguous
     assert np.array_equal(dist, _scipy_hops(g))
 
 
-@pytest.mark.parametrize("cells", [graphs._HOP_CELLS, 1], ids=["default", "one-row-bands"])
+@pytest.mark.parametrize("cells", [_bands.CELLS, 1], ids=["default", "one-row-bands"])
 def test_banded_edge_update_equals_whole_matrix_update(cells, monkeypatch):
-    monkeypatch.setattr(graphs, "_HOP_CELLS", cells)
+    monkeypatch.setattr(_bands, "CELLS", cells)
     g = _random_graph(130, 90, seed=3)  # several components and isolated nodes
     rng = np.random.default_rng(4)
     dist = distance_matrix(g)
@@ -242,7 +242,7 @@ def _traced_peak(f, *args):
 
 
 def test_hop_distances_hold_no_n_by_n_temporaries(bench_graph):
-    # beside the int32 result the BFS holds buffers of about _HOP_CELLS
+    # beside the int32 result the BFS holds buffers of about _bands.CELLS
     # words (2 MB) and one unpacked piece; 4 MB is below one float64 n x n
     # array (10.3 MB here), and the update's bands hold about 1 MB, below
     # one n x n int32 array (5.1 MB)

@@ -17,6 +17,7 @@ from reference import (
     ref_mix64,
     ref_control_report,
     ref_pair_counts,
+    ref_pieces,
     ref_unmix64,
     ref_write_access_csv,
     UnionFind,
@@ -26,7 +27,7 @@ from scipy.sparse.csgraph import shortest_path
 import netaccess as na
 from netaccess import AccessEstimate
 from netaccess.graphs import add_edge_distances, argmax_pair, distance_matrix
-from netaccess import sampler
+from netaccess import _bands, sampler
 from netaccess.sampler import _edge_hashes, _label_rows, _live_rows, triu_bands
 
 settings.register_profile("suite", deadline=None, max_examples=30)
@@ -202,7 +203,7 @@ def test_incremental_signature_distances_equal_full_recompute(
     scipy_metric = "cityblock" if metric == "L1" else "sqeuclidean"
     # a band of cdist rows holds a node or two, so updates cross bands
     with mock.patch.object(evaluation, "_UPDATE_SHARE", share), \
-            mock.patch.object(evaluation, "_BAND_WORK", 2 * g.n):
+            mock.patch.object(_bands, "CELLS", 2 * g.n):
         for e in [None] + picks:
             if e is not None:
                 na.add_edge_incremental(ens, est, e)
@@ -461,11 +462,11 @@ def _access_csv_bytes(write, p, orig_ids) -> bytes:
 
 
 def _banded_csv_bytes(values, orig_ids) -> list[bytes]:
-    """write_access_csv's bytes at its own band bound, at 64-row bands and at
-    one-row bands."""
+    """write_access_csv's bytes at the default bound, at 64-row bands (a
+    cell counts four elements) and at one-row bands."""
     out = []
-    for cells in (sampler._CSV_CELLS, 64 * len(orig_ids), 1):
-        with mock.patch.object(sampler, "_CSV_CELLS", cells):
+    for cells in (_bands.CELLS, 256 * len(orig_ids), 1):
+        with mock.patch.object(_bands, "CELLS", cells):
             out.append(_access_csv_bytes(na.write_access_csv, values, orig_ids))
     return out
 
@@ -710,15 +711,16 @@ _PATH5 = na.load_edge_list(b"0 1\n1 2\n2 3\n3 4\n")
 
 @given(edge_graphs(n_max=7), st.sampled_from(["fragmented", "giant"]), st.floats(0.0, 1.0),
        _EDGE_BITS, st.sampled_from(["fresh", "relabelled"]), seeds, st.sampled_from([64, 600]),
-       st.integers(1, 3), st.sampled_from([1, 12, 2**62]), st.sampled_from([1, 40, 2**62]))
+       st.integers(1, 3), st.sampled_from([1, 12, 40, 2**62]))
 # an edgeless graph: every row has no live edge
-@example(_PATH5, "giant", 0.5, [False] * 10, "fresh", 3, 600, 2, 12, 40)
-@example(_PATH5, "fragmented", 0.0, [True] * 10, "relabelled", 3, 600, 2, 12, 1)
-def test_block_kernel_equals_union_find(g, regime, t, bits, start, seed, R, workers, cells, work):
+@example(_PATH5, "giant", 0.5, [False] * 10, "fresh", 3, 600, 2, 12)
+@example(_PATH5, "fragmented", 0.0, [True] * 10, "relabelled", 3, 600, 2, 1)
+def test_block_kernel_equals_union_find(g, regime, t, bits, start, seed, R, workers, bound):
     """Every build's counters equal a union-find recount of its samples and
-    its labels group every row's nodes like the union-find, with blocks
-    labelled in pieces of at most ``cells`` and counted in bands of at most
-    ``work``. A fresh build's counts of giant rows equal the union-find's.
+    its labels group every row's nodes like the union-find, with coins drawn
+    in chunks, blocks labelled in pieces and counted in bands, each of at
+    most ``bound`` (``_bands.CELLS``). A fresh build's counts of giant rows
+    equal the union-find's.
     The relabelled start is an ensemble of a subgraph at a lower alpha that
     add_edge_incremental has grown to g, so its rows leave ids unused."""
     lo, hi = (0.05, 0.25) if regime == "fragmented" else (0.75, 0.95)
@@ -728,8 +730,7 @@ def test_block_kernel_equals_union_find(g, regime, t, bits, start, seed, R, work
     live = _live_rows(_edge_hashes(seed, g.eu, g.ev), 0, R, alpha)
     roots = _union_find_labels(g, live)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_LABEL_CELLS", cells)
-        mp.setattr(sampler, "_BAND_WORK", work)
+        mp.setattr(_bands, "CELLS", bound)
         below = None
         if start == "relabelled":
             below, below_est = na.build_ensemble(
@@ -750,6 +751,13 @@ def test_block_kernel_equals_union_find(g, regime, t, bits, start, seed, R, work
             assert giant_rows == sum(s > g.n * g.n / 2 for s in sq)
 
 
+@given(st.lists(st.integers(0, 20), max_size=30), st.sampled_from([0, 0.5, 1, 7, 7.5, 40, 2**62]))
+def test_pieces_equal_greedy_cut(cost, bound):
+    """``_bands.pieces`` cuts like a greedy loop over the rows, as
+    ``advantage._removal_groups`` needs to group its nodes."""
+    assert _bands.pieces(np.array(cost, dtype=np.int64), bound) == ref_pieces(cost, bound)
+
+
 @pytest.mark.parametrize("bound", [1, 7, 2**62])
 @given(st.integers(1, 40))
 def test_triu_bands_walk_the_upper_triangle(bound, n):
@@ -757,7 +765,7 @@ def test_triu_bands_walk_the_upper_triangle(bound, n):
     in pairs unless it is a single row, and their pairs, joined, are the
     strict upper triangle in np.triu_indices' order."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampler, "_BAND_WORK", bound)
+        mp.setattr(_bands, "CELLS", bound)
         bands = list(triu_bands(n))
     assert [lo for lo, _, _ in bands] == [0] + [hi for _, hi, _ in bands[:-1]]
     assert bands[-1][1] == n

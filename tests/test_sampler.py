@@ -8,7 +8,7 @@ import pytest
 from reference import ref_exact_access, ref_pair_counts, random_connected_graph
 
 import netaccess as na
-from netaccess import sampler
+from netaccess import _bands, sampler
 from netaccess.cli import main as cli_main
 from netaccess.sampler import _ORACLE_CHUNK, _accumulate_block, _edge_hashes, _live_rows
 
@@ -205,20 +205,20 @@ def test_labelling_in_pieces_equals_one_piece(monkeypatch, rows, R, workers):
     inside the run, and on the 5-cycle at alpha 0.5 some samples have a
     giant component and others do not."""
     g = _graph(FIVE_CYCLE)
-    monkeypatch.setattr(sampler, "_LABEL_CELLS", 2**62)
+    monkeypatch.setattr(_bands, "CELLS", 2**62)
     whole = _piece_builds(g, R, 1)
-    monkeypatch.setattr(sampler, "_LABEL_CELLS", rows * g.n)
+    monkeypatch.setattr(_bands, "CELLS", rows * g.n)
     pieces = _piece_builds(g, R, workers)
     _assert_builds_match(g, R, pieces, whole)
 
 
 def test_labelling_calls_are_bounded(monkeypatch):
-    """No labelling call takes more than _LABEL_CELLS nodes and live edges
+    """No labelling call takes more than _bands.CELLS nodes and live edges
     unless it labels a single row, and a block is labelled in several calls."""
     text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
     g = _graph(text)
     bound = 200
-    monkeypatch.setattr(sampler, "_LABEL_CELLS", bound)
+    monkeypatch.setattr(_bands, "CELLS", bound)
     sizes = []
     label = sampler.connected_components
 
@@ -245,9 +245,9 @@ def test_counting_in_bands_equals_one_band(monkeypatch, bound, R, workers):
     work here is 250 to 530, so a bound of 1 cuts single-row bands and a
     bound of 1000 bands of two or three rows."""
     g = _graph(FIVE_CYCLE)
-    monkeypatch.setattr(sampler, "_BAND_WORK", 2**62)
+    monkeypatch.setattr(_bands, "CELLS", 2**62)
     whole = _piece_builds(g, R, 1)
-    monkeypatch.setattr(sampler, "_BAND_WORK", bound)
+    monkeypatch.setattr(_bands, "CELLS", bound)
     bands = _piece_builds(g, R, workers)
     _assert_builds_match(g, R, bands, whole)
 
@@ -270,13 +270,13 @@ def _row_work(lab: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5])
 def test_counting_bands_are_bounded(monkeypatch, alpha):
-    """No band's product work exceeds _BAND_WORK unless the band is a single
+    """No band's product work exceeds _bands.CELLS unless the band is a single
     row, the bands cover every node row once, and each is added to the
     accumulator while the lock is held."""
     text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
     g = _graph(text)
     bound = 300
-    monkeypatch.setattr(sampler, "_BAND_WORK", bound)
+    monkeypatch.setattr(_bands, "CELLS", bound)
     bands = []
     lock = threading.Lock()
 
@@ -327,7 +327,7 @@ def test_row_labels_are_ranges_in_row_order(monkeypatch):
     ensemble keeps the ranges in row order."""
     text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
     g = _graph(text)
-    monkeypatch.setattr(sampler, "_LABEL_CELLS", 200)
+    monkeypatch.setattr(_bands, "CELLS", 200)
     h = g.without_node_edges(3, 17)
     fresh, _ = na.build_ensemble(h, 0.3, 1030, 2, workers=2)
     _assert_dense_ranges(fresh.labels)
