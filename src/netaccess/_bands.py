@@ -4,12 +4,14 @@ The measures are all-pairs, so each kernel that would hold an n x n
 temporary, or a buffer growing with R or m, works through its rows a band
 at a time instead. Every such loop cuts its bands against ``CELLS``
 elements (numpy scalars of at most 8 bytes, about 2 MB), through one of
-the two rules below. Both read ``CELLS`` when called, so setting it once
+the three rules below. All read ``CELLS`` when called, so setting it once
 reaches every loop; what each loop counts against it is listed in the
 README's "Determinism" section. Cutting never changes a result, only how
 much is held at once.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,3 +39,9 @@ def band_rows(row_cost: int) -> int:
     """Rows per band when every row costs ``row_cost``: as many as ``CELLS``
     holds, and at least one."""
     return max(1, CELLS // max(row_cost, 1))
+
+
+def tile_side(cell_cost: int) -> int:
+    """Side of the square tiles when every cell costs ``cell_cost``: the
+    largest side whose tile ``CELLS`` holds, and at least one."""
+    return max(1, math.isqrt(CELLS // max(cell_cost, 1)))

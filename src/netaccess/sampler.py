@@ -43,12 +43,12 @@ node's removal this way, on one ensemble of the graph without every
 queried node's edges. The counters are identical to a fresh build's, and
 so are the labels unless insertion relabelled the earlier ensemble.
 
-Co-occurrence is counted as the sparse product G^T G of each block, where G
-is 0/1 with one row per group of nodes and one column per node; G^T is built
-as a CSR matrix straight from the block's labels, one row per node listing
-its groups. In a fragmented sample (sum of squared component sizes at most
-n^2/2) every component of two or more nodes is a group: a lone node would
-add only to the diagonal, which is R anyway. In any other sample the first
+Co-occurrence is counted from groups of nodes: G is 0/1 with one row per
+group and one column per node, and G^T is built as a CSR matrix straight
+from the block's labels, one row per node listing its groups. In a
+fragmented sample (sum of squared component sizes at most n^2/2) every
+component of two or more nodes is a group: a lone node would add only to
+the diagonal, which is R anyway. In any other sample the first
 largest component is the giant: it is counted through its complement, one
 group of the nodes outside it, beside the other components of two or more
 nodes. The sizes come from one table per block, indexed by label: a row's
@@ -58,12 +58,20 @@ squared sizes is one slice of the squared table, summed by
 nodes (the sum of squares is at most the largest size times n), so it is
 the only component of its sample that large and no two can tie. Which
 group, if any, each node joins is then one gather from a per-label table.
-A build has one n x n accumulator, shared by its workers: each block
-adds its product to it a band of node rows at a time, each band's product
-work (the sizes of its rows' groups summed, which bounds its nonzeros) at
-most ``_bands.CELLS`` unless it is a single row, under one lock. Integer
-addition is exact and commutes, so the order in which bands and blocks
-arrive does not change a counter. Inserting an edge adds A^T B and its
+Transposing G^T lists each group's members in node order, and transposing
+back gives each entry (node i, group g) its slot in that list: its partners
+are the members after it, the nodes j > i of g, so a block counts each
+pair i < j of a group once and never a node with itself. A build has one
+n x n accumulator, shared by its workers: a block adds its pairs to it a
+band of node rows at a time, under one lock. Each entry of the band expands
+to its partners, each pair (i, j) becomes the cell (i - lo) * (n - lo) +
+j - lo of the band's rows and their columns from lo on, and one
+``np.bincount`` counts them; a row costs n (at least its share of the
+counts) plus its partners, and a band at most ``_bands.CELLS`` unless it is
+a single row. Integer addition is exact and commutes, so the order in which
+bands and blocks arrive does not change a counter. After the last block the
+build finishes the counters and mirrors the upper triangle into the lower
+one, once, a square tile at a time. Inserting an edge adds A^T B and its
 transpose, A and B being the two sides it merges in each sample. Counters
 are 32-bit, so R < 2**31, and a build accumulates them in 32 bits: every
 partial sum lies in [-R, R].
@@ -81,8 +89,8 @@ inf, -0.0 or huge values) pads its values, with 0 bytes dropped from each
 row before it is written.
 
 Every bounded loop here (coin chunks, labelling pieces, counting bands,
-pair bands, ``access.csv`` bands) cuts its work against the one bound
-``_bands.CELLS``, read when the loop starts.
+mirror tiles, pair bands, ``access.csv`` bands) cuts its work against the
+one bound ``_bands.CELLS``, read when the loop starts.
 
 The exact oracle labels all 2^m coin outcomes in chunks like sample blocks
 and adds their one-hot product weighted by each outcome's probability.
@@ -102,7 +110,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._bands import band_rows, pieces
+from ._bands import band_rows, pieces, tile_side
 from .graphs import Graph
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -292,7 +300,7 @@ def _accumulate_block(
 ) -> tuple[None, np.ndarray | None, np.ndarray, int]:
     """Draw the coins of one block of samples for the edges eu, ev (base
     hashes ``hashes``), label the block and, given the n x n accumulator
-    ``same``, add its pairs G^T G to it.
+    ``same``, add its pairs i < j to it.
 
     With ``prev`` None the block is labelled afresh; otherwise ``prev``
     holds an earlier, finer labelling of the same samples and the block is
@@ -304,11 +312,16 @@ def _accumulate_block(
 
     G has one column per node and one row per counted group: each
     component of two or more nodes except the giants, and one group per
-    giant sample holding the nodes outside its giant. G^T G is added to
-    ``same`` a band of node rows at a time, each band's product work at
-    most ``_bands.CELLS`` unless it is a single row, and each addition holds
-    ``lock``. Returns (None, per-node outside-giant counts, the block's
-    component labels, number of giant samples); without ``same`` nothing
+    giant sample holding the nodes outside its giant. Each entry of G^T,
+    node i in group g, expands to its partners, the members j > i of g, and
+    each pair adds one to ``same[i, j]``: a band of node rows at a time,
+    its pairs counted by one ``np.bincount`` of their cells, a row costing
+    n plus its partners and a band at most ``_bands.CELLS`` unless it is a
+    single row, and each addition holds ``lock``. When the block returns,
+    ``same`` holds only pairs i < j: nothing is added to its lower triangle
+    or its diagonal, which ``build_ensemble`` fills. Returns (None, per-node
+    outside-giant counts, the block's component labels, number of giant
+    samples); without ``same`` nothing
     is counted and the counts are None. Labels are unique across the
     block's rows. Blocks add integers, so a build does not depend on block
     scheduling.
@@ -360,18 +373,55 @@ def _accumulate_block(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     row_out = keep[:, b:].sum(axis=1, dtype=np.int32)
-    indices = cols[keep]
+    groups = cols[keep]
     del cols, keep
-    gt = csr_matrix(
-        (np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n_comp + b)
-    )
-    members = gt.T.tocsr()
-    # a row's product work, the sizes of its groups summed, bounds its nonzeros
-    work = gt @ np.diff(members.indptr)
-    for lo, hi in pieces(work):
-        band = (gt[lo:hi] @ members).toarray()
+    nnz = len(groups)
+    # one transpose lists each group's members in node order, and the one
+    # back gives each G^T entry its slot in that list: a row of G^T lists
+    # its groups in ascending order, so the entries come back in order
+    members = csr_matrix(
+        (np.ones(nnz, dtype=np.int8), groups, indptr), shape=(n, n_comp + b)
+    ).T.tocsr()
+    del groups
+    members.data = np.arange(nnz, dtype=np.int32 if nnz < 2**31 else np.int64)
+    back = members.T.tocsr()
+    nodes, ends = members.indices, members.indptr[1:]
+    del members
+    # an entry's partners are its group's members from the slot after its own
+    first = back.data
+    first += 1
+    partners = ends[back.indices]
+    partners -= first
+    del back, ends
+    # a row costs n, at least its share of the band's counts, and its
+    # partners; a row's own partners, fewer than 2b * n, are summed in the
+    # partners' type
+    work = np.zeros(n, dtype=np.int64)
+    filled = np.flatnonzero(np.diff(indptr))
+    if len(filled):
+        work[filled] = np.add.reduceat(partners, indptr[filled], dtype=partners.dtype)
+    for lo, hi in pieces(n + work):
+        e0, e1 = indptr[lo], indptr[hi]
+        cnt = partners[e0:e1]
+        total = int(work[lo:hi].sum())
+        itype = np.int32 if max(nnz, total, (hi - lo) * n) < 2**31 else np.int64
+        # the slots of the band's partners: each entry's run from its first
+        # partner on, the runs laid end to end
+        at = first[e0:e1].astype(itype)
+        at[1:] -= np.cumsum(cnt[:-1], dtype=itype)
+        at = np.repeat(at, cnt)
+        at += np.arange(total, dtype=itype)
+        # each pair's cell (i - lo) * w + j - lo in the band's counts, which
+        # hold the w = n - lo columns from its first row on: every j > i >= lo
+        w = n - lo
+        keys = nodes[at].astype(itype, copy=False)
+        del at
+        keys += np.repeat(np.arange(-lo, (hi - lo) * w - lo, w, dtype=itype), work[lo:hi])
+        band = np.bincount(keys, minlength=(hi - lo) * w).reshape(hi - lo, w)
+        del keys
         with lock:
-            same[lo:hi] += band
+            same[lo:hi, lo:] += band
+        del band
     return None, row_out, lab, rc
 
 
@@ -394,8 +444,11 @@ def build_ensemble(
     components, which the coupling makes a refinement of this build's; the
     counters and the label partition are identical to a fresh build's. At
     below's own alpha only g's edges outside below can join two of its
-    components, so only their coins are drawn and labelled. With ``count``
-    False the pairs are not counted: only the ensemble is built, and the
+    components, so only their coins are drawn and labelled. Blocks count
+    the pairs i < j only; once they are all in, the counters are finished
+    and mirrored into the lower triangle in one pass of square tiles cut
+    by ``_bands.CELLS``. With ``count`` False the pairs are not counted:
+    only the ensemble is built, nothing is mirrored, and the
     estimate's counters are an empty (0, 0) array.
     """
     alpha = validate_alpha(alpha)
@@ -444,12 +497,22 @@ def build_ensemble(
                 row_out += pout
                 rc += prc
 
-    # counters = same + rc - out_i - out_j, finished in place: every partial
-    # sum lies in [-R, R], so int32 holds it
+    # counters = same + rc - out_i - out_j for the pairs i < j, finished in
+    # place and mirrored a square tile at a time: every partial sum lies in
+    # [-R, R], so int32 holds it
     counters = same
     if count:
-        counters -= row_out[:, None]
-        counters += (rc - row_out)[None, :]
+        col_add = rc - row_out
+        # a cell costs three: the tile's, its temporary's and its mirror's
+        side = tile_side(3)
+        for a in range(0, n, side):
+            for c in range(a, n, side):
+                tile = counters[a : a + side, c : c + side]
+                if c == a:
+                    tile += tile.T  # its lower triangle and diagonal are 0
+                tile += col_add[None, c : c + side] - row_out[a : a + side, None]
+                if c != a:
+                    counters[c : c + side, a : a + side] = tile.T
         np.fill_diagonal(counters, R)
     ens = SampleEnsemble(n=n, R=R, seed=seed, alpha=alpha, labels=labels, graph=g)
     return ens, AccessEstimate(n=n, R=R, counters=counters)

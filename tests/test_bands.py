@@ -3,8 +3,9 @@
 Each loop is watched from outside where its cuts show: the coin chunks
 through ``_mix64``, the labelling calls through ``connected_components``,
 the bands that read or write an array through an array that logs its keys,
-and the cdist bands through ``cdist``. The multi-source BFS keeps all of
-its buffers to itself, so its chunks are read from the rule's answer.
+and the cdist bands through ``cdist``. The multi-source BFS and a build's
+mirror keep their buffers to themselves, so their chunks and tiles are read
+from their rules' answers.
 """
 import os
 
@@ -43,13 +44,22 @@ def _row_bands(keys, n: int) -> list[int]:
     return [len(range(*r)) for r in ranges]
 
 
+def _tiles(n: int, side: int) -> int:
+    """Square tiles of the given side over an n x n matrix's upper triangle,
+    the diagonal tiles included."""
+    k = -(-n // side)
+    return k * (k + 1) // 2
+
+
 def _spies(mp) -> dict:
     """Install the spies; returns their logs: the rows of each coin chunk,
-    one entry per labelling call, the rows of each cdist band and graphs'
-    ``band_rows`` answers by row cost."""
-    log = {"coins": [], "label": [], "cdist": [], "rules": {}}
-    mix, label, cdist, rule = (sampler._mix64, sampler.connected_components,
-                               scipy.spatial.distance.cdist, graphs.band_rows)
+    one entry per labelling call, the rows of each cdist band, graphs'
+    ``band_rows`` answers by row cost and sampler's ``tile_side`` answers
+    by cell cost."""
+    log = {"coins": [], "label": [], "cdist": [], "rules": {}, "tiles": {}}
+    mix, label, cdist, rule, tiles = (sampler._mix64, sampler.connected_components,
+                                      scipy.spatial.distance.cdist, graphs.band_rows,
+                                      sampler.tile_side)
 
     def mix_spy(z, tmp=None):
         if z.ndim == 2:  # a chunk of rows; the per-edge hashes are 1-d
@@ -68,10 +78,15 @@ def _spies(mp) -> dict:
         log["rules"][row_cost] = rule(row_cost)
         return log["rules"][row_cost]
 
+    def tiles_spy(cell_cost):
+        log["tiles"][cell_cost] = tiles(cell_cost)
+        return log["tiles"][cell_cost]
+
     mp.setattr(sampler, "_mix64", mix_spy)
     mp.setattr(sampler, "connected_components", label_spy)
     mp.setattr(scipy.spatial.distance, "cdist", cdist_spy)
     mp.setattr(graphs, "band_rows", rule_spy)
+    mp.setattr(sampler, "tile_side", tiles_spy)
     return log
 
 
@@ -100,6 +115,8 @@ def _run_loops(path) -> tuple[dict, dict]:
 
         ens, est = na.build_ensemble(g, _ALPHA, _R, _SEED)
         out["build"] = (ens.labels.tolist(), est.counters.tolist())
+        (side,) = log["tiles"].values()
+        cuts["mirror tiles"] = _tiles(n, side)
         cuts["pair bands"] = len(list(sampler.triu_bands(n)))
         out["bundle"] = evaluation.metrics_bundle(est, g.orig_ids, {})
         out["control"] = na.access_centrality(g, _ALPHA, [0, 75, 149], R=_R, seed=_SEED)
@@ -143,13 +160,13 @@ def test_one_setting_reaches_every_loop(monkeypatch, tmp_path, cells):
         assert got[name] == want[name], name
     for loop, pieces in cut.items():
         assert pieces > max(default[loop], 1), loop
-    assert len(cut) == 9
+    assert len(cut) == 10
 
 
 def test_default_cuts_on_bench1133(bench_graph):
     """The cuts the README documents for bench1133 (n=1133, m=5451): coin
     chunks of 24 rows, access.csv bands of 57 rows, distance and signature
-    bands of 231 rows and one BFS chunk."""
+    bands of 231 rows, one BFS chunk and ten mirror tiles of side 295."""
     g, n = bench_graph, bench_graph.n
     with pytest.MonkeyPatch.context() as mp:
         log = _spies(mp)
@@ -169,6 +186,7 @@ def test_default_cuts_on_bench1133(bench_graph):
         assert _row_bands(logged.reads, n) == [231] * 4 + [209]
 
         ens, est = na.build_ensemble(g, 0.4, 64, 0)
+        assert log["tiles"] == {3: 295} and _tiles(n, 295) == 10
         logged = AccessEstimate(n, 64, _logged(est.counters))
         na.signature_distances(logged, sample_pairs=500, seed=1)
         assert [len(k) for k in logged.counters.reads] == [231, 231, 231, 231, 38, 38]

@@ -235,15 +235,16 @@ def test_labelling_calls_are_bounded(monkeypatch):
         assert nodes + nnz <= bound or nodes <= g.n
 
 
-@pytest.mark.parametrize("bound", [1, 1000])
+@pytest.mark.parametrize("bound", [1, 250, 1000])
 @pytest.mark.parametrize("R", [300, 1030])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_counting_in_bands_equals_one_band(monkeypatch, bound, R, workers):
-    """Each band adds its rows of G^T G to the build's one accumulator, so a
-    block counted one row or a few rows at a time, by several workers at
-    once, has the counters of a block counted in a single band. A row's
-    work here is 250 to 530, so a bound of 1 cuts single-row bands and a
-    bound of 1000 bands of two or three rows."""
+    """Each band adds its rows' pairs i < j to the build's one accumulator,
+    so a block counted one row or a few rows at a time, by several workers
+    at once, has the counters of a block counted in a single band. A row
+    costs 5 to 268 here (n plus its partners j > i), so a bound of 1 cuts
+    single-row bands, a bound of 250 bands of one to three rows, and a
+    bound of 1000 one band per block (but several labelling pieces)."""
     g = _graph(FIVE_CYCLE)
     monkeypatch.setattr(_bands, "CELLS", 2**62)
     whole = _piece_builds(g, R, 1)
@@ -253,26 +254,28 @@ def test_counting_in_bands_equals_one_band(monkeypatch, bound, R, workers):
 
 
 def _row_work(lab: np.ndarray) -> np.ndarray:
-    """Per node, the sizes of its counted groups summed over a block's rows:
-    its component unless that is a lone node or the giant, and the nodes
-    outside the giant when it lies outside one."""
+    """Per node, n plus its partners j > i summed over a block's rows: the
+    later nodes of its component unless that is the giant, and the later
+    nodes outside the giant when it lies outside one."""
     n = lab.shape[1]
-    work = np.zeros(n, dtype=np.int64)
+    later = np.arange(n) > np.arange(n)[:, None]
+    work = np.full(n, n, dtype=np.int64)
     for row in lab:
         size = np.bincount(row - row.min())[row - row.min()]
         giant = size.sum() > n * n / 2
         inside = giant & (row == row[size.argmax()])
-        work += np.where((size > 1) & ~inside, size, 0)
+        work += np.where(inside, 0, ((row == row[:, None]) & later).sum(axis=1))
         if giant:
-            work += np.where(inside, 0, n - size.max())
+            work += np.where(inside, 0, (~inside & later).sum(axis=1))
     return work
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5])
 def test_counting_bands_are_bounded(monkeypatch, alpha):
-    """No band's product work exceeds _bands.CELLS unless the band is a single
-    row, the bands cover every node row once, and each is added to the
-    accumulator while the lock is held."""
+    """No band costs more than _bands.CELLS, n per row plus its rows'
+    partners j > i, unless the band is a single row; the bands cover every
+    node row once, and each is added to the accumulator's columns from its
+    first row on while the lock is held."""
     text = "".join(f"{i} {(i + 1) % 30}\n{i} {(i + 7) % 30}\n" for i in range(30)).encode()
     g = _graph(text)
     bound = 300
@@ -283,7 +286,10 @@ def test_counting_bands_are_bounded(monkeypatch, alpha):
     class Recording(np.ndarray):
         def __setitem__(self, key, value):
             assert lock.locked()
-            bands.append((key.start, key.stop))
+            rows, cols = key
+            # a band's pairs i < j lie in its columns from its first row on
+            assert cols == slice(rows.start, None)
+            bands.append((rows.start, rows.stop))
             super().__setitem__(key, value)
 
     same = np.zeros((g.n, g.n), dtype=np.int32).view(Recording)
