@@ -55,13 +55,11 @@ def welfare(est: AccessEstimate) -> tuple[float, tuple[int, int]]:
         raise ValueError("welfare needs at least 2 nodes")
     c = est.counters
     # row-major argmin of a symmetric matrix is the lexicographically
-    # smallest minimizing pair; the diagonal (R, the largest counter) is
-    # the first minimum only when every counter is R
+    # smallest minimizing pair, so u <= v; the diagonal (R, the largest
+    # counter) is the first minimum only when every counter is R
     u, v = divmod(int(np.argmin(c)), est.n)
     if u == v:
         return 1.0, (0, 1)
-    if u > v:
-        u, v = v, u
     return float(c[u, v]) / est.R, (u, v)
 
 

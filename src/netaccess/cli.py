@@ -317,12 +317,16 @@ def _cmd_control(cfg: RunConfig) -> None:
         except ValueError:
             raise ConfigError("nodes", f"expected comma-separated integers, got {cfg.nodes!r}")
         dense_nodes = []
+        top = int(g.orig_ids[-1])
         for orig in requested:
-            if orig not in g.label_map:
+            # clamped into the id range, so numpy sees an int64; an id out of
+            # range matches none there
+            d = int(np.searchsorted(g.orig_ids, min(max(orig, 0), top)))
+            if int(g.orig_ids[d]) != orig:
                 raise ConfigError("nodes", f"node {orig} not present in the graph")
-            if g.label_map[orig] in dense_nodes:
+            if d in dense_nodes:
                 raise ConfigError("nodes", f"node {orig} is listed more than once")
-            dense_nodes.append(g.label_map[orig])
+            dense_nodes.append(d)
     # a node's control needs a pair of other nodes; checked after --nodes,
     # a config error, and before the all-nodes warning
     _require_nodes(cfg, g.n, 3)
@@ -381,9 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        if needs_input:
-            p.add_argument("--input", help="edge-list file (two ints per line, '#' comments)")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--input", help="edge-list file (two ints per line, '#' comments)")
         p.add_argument(
             "--alpha",
             help="transmission probability in (0,1); a comma-separated list runs once per value",
@@ -412,14 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_aug.add_argument(
         "--eval-every", type=int, help="metrics bundle every this many steps (default 10)"
     )
-    p_aug.add_argument("--sample-pairs", type=int, help="sampled signature-distance pairs")
-    p_aug.add_argument("--signature-metric", choices=("L1", "L2"))
 
     p_ev = sub.add_parser("evaluate", help="metrics bundle from a graph or stored estimate")
     common(p_ev)
     p_ev.add_argument("--estimate-in", help="binary estimate dump to evaluate")
-    p_ev.add_argument("--sample-pairs", type=int)
-    p_ev.add_argument("--signature-metric", choices=("L1", "L2"))
+    for p in (p_aug, p_ev):
+        p.add_argument("--sample-pairs", type=int, help="sampled signature-distance pairs")
+        p.add_argument("--signature-metric", choices=("L1", "L2"))
 
     p_or = sub.add_parser("oracle", help=f"exact matrix by enumeration (m <= {ORACLE_EDGE_CAP})")
     common(p_or)

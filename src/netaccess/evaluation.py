@@ -227,15 +227,10 @@ def signature_distances(
 def _sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` seeded uniform pairs of distinct nodes as (i, j), i < j."""
     rng = np.random.default_rng([seed, 0x7369676E])
-    iu = np.empty(count, dtype=np.int64)
-    ju = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        a = int(rng.integers(n))
-        b = int(rng.integers(n - 1))
-        if b >= a:
-            b += 1
-        iu[t], ju[t] = min(a, b), max(a, b)
-    return iu, ju
+    # one call draws the stream of alternating scalar draws a < n, b < n - 1
+    a, b = rng.integers(np.tile([n, n - 1], count)).reshape(-1, 2).T
+    b = b + (b >= a)
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _scaled(raw: np.ndarray, R: int, metric: str) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Undirected simple graphs: edge-list ingestion, LCC extraction, hop distances.
 
 A ``Graph`` stores its edges once, as the canonical dense arrays ``eu``/``ev``,
-searched by their sorted keys ``eu * n + ev``; ``label_map`` is derived lazily.
+searched by their sorted keys ``eu * n + ev``.
 Node ids are relabeled densely (0..n-1) at load time, in sorted original-id
 order, so lexicographic tie-breaks on dense ids and on original ids coincide.
 All user-facing output maps back through ``orig_ids``.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -58,7 +57,6 @@ class Graph:
     ``eu``/``ev`` hold the canonical edge list (eu[i] < ev[i], sorted
     lexicographically, no duplicates) and are the only copy of the edges.
     ``orig_ids[d]`` is the original id of dense node d, in increasing order.
-    ``label_map`` (original id -> dense id) is derived from it on first use.
     """
 
     n: int
@@ -70,10 +68,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.eu)
-
-    @cached_property
-    def label_map(self) -> dict[int, int]:
-        return {o: d for d, o in enumerate(self.orig_ids.tolist())}
 
     def has_edges(self, a, b) -> np.ndarray:
         """Which node pairs (a[i], b[i]), in either order, are edges, by a
@@ -308,11 +302,8 @@ def argmax_pair(dist: np.ndarray) -> tuple[int, int]:
 
 
 def write_edge_list(g: Graph, path: str) -> None:
-    """Write the canonical edge list using original node ids."""
-    orig = g.orig_ids
+    """Write the canonical edge list using original node ids; ``orig_ids``
+    ascend, so each line keeps eu < ev as a < b."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in zip(g.eu.tolist(), g.ev.tolist()):
-            a, b = int(orig[u]), int(orig[v])
-            if a > b:
-                a, b = b, a
+        for a, b in zip(g.orig_ids[g.eu].tolist(), g.orig_ids[g.ev].tolist()):
             fh.write(f"{a} {b}\n")

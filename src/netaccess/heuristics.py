@@ -8,7 +8,8 @@ construction.
 Strategy catalog (selection rule per step):
   rand        both endpoints drawn uniformly from the seeded stream
   bc-chord    edge directly between the pair with minimum estimated access
-  bc-one      the worse-off endpoint of that pair is wired to the center
+  bc-one      that pair's lower-id endpoint is wired to the center (both
+              endpoints' broadcast is the pair's access, so they tie)
   bc-both     both endpoints wired to the center (2 edges per step)
   infl        the node with minimum influence is wired to the center
   diam-chord  edge between a pair at maximum hop distance
@@ -110,11 +111,11 @@ def resolve_collision(
     """
     u, v = candidate
     if kind in _CENTER_KINDS:
-        for w in broadcast_order[1:]:
-            w = int(w)
-            if w != u and not g.has_edge(u, w):
-                return _canon(u, w)
-        return None
+        cands = broadcast_order[1:]
+        legal = (cands != u) & ~g.has_edges(u, cands)
+        if not legal.any():
+            return None
+        return _canon(u, int(cands[np.argmax(legal)]))
     if g.is_complete():
         return None
     while u == v or g.has_edge(u, v):
@@ -135,6 +136,8 @@ def _diameter_pair(dist: np.ndarray) -> tuple[int, int]:
     return argmax_pair(dist)
 
 
+# never called: bc-one's endpoints tie on broadcast; kept as a name the
+# benchmark tracer wraps
 def _current_broadcast(est: AccessEstimate) -> np.ndarray:
     return broadcast_all(est)
 
@@ -205,10 +208,9 @@ def run_augmentation(
         elif kind == "bc-chord":
             raw = [_min_pair_candidate(est)]
         elif kind == "bc-one":
-            i, j = _min_pair_candidate(est)
-            bc = _current_broadcast(est)
-            u = i if bc[i] <= bc[j] else j
-            raw = [(u, center)]
+            # each endpoint's broadcast is its row minimum, the pair's own
+            # access, so the two tie and the lower id is wired
+            raw = [(_min_pair_candidate(est)[0], center)]
         elif kind == "bc-both":
             i, j = _min_pair_candidate(est)
             raw = [(i, center), (j, center)]

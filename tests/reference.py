@@ -194,3 +194,32 @@ def random_connected_graph(rng: np.random.Generator, n_max: int = 8, m_max: int 
             edges.add((u, v))
             extra -= 1
     return n, sorted(edges)
+
+
+def ref_sample_pairs(n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded pairs of distinct nodes, drawn one scalar at a time from the
+    signature stream: a below n, then b below n - 1 moved past a; each pair
+    as (i, j), i < j."""
+    rng = np.random.default_rng([seed, 0x7369676E])
+    pairs = []
+    for _ in range(count):
+        a = int(rng.integers(n))
+        b = int(rng.integers(n - 1))
+        if b >= a:
+            b += 1
+        pairs.append((min(a, b), max(a, b)))
+    iu, ju = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return iu, ju
+
+
+def ref_center_walk(edges: list[tuple[int, int]], u: int, order) -> tuple[int, int] | None:
+    """A center kind's collision: the first node w after the top of
+    ``order`` that is neither u nor u's neighbour, tested one candidate at a
+    time against a Python set of the edges; the edge (u, w) canonical, or
+    None when no such w exists."""
+    present = set(edges)
+    for w in list(order)[1:]:
+        e = (min(u, w), max(u, w))
+        if w != u and e not in present:
+            return e
+    return None

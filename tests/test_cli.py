@@ -368,7 +368,7 @@ def test_augment_signature_distances_equal_fresh_builds(tmp_path, monkeypatch, w
     # every bundle after the first went through a cover, not all pairs
     assert len(covers) == 5 and max(covers) <= evaluation._UPDATE_SHARE
     g = na.load_edge_list(WHEEL_PATHS.encode())
-    added = [(g.label_map[int(u)], g.label_map[int(v)]) for _, u, v, *_ in
+    added = [tuple(np.searchsorted(g.orig_ids, [int(u), int(v)]).tolist()) for _, u, v, *_ in
              (line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:])]
     for k in range(6):
         bundle = json.loads((out / f"metrics_k{k}.json").read_text())
@@ -651,6 +651,19 @@ def test_control_unknown_node_exits_2(tmp_path):
     f.write_text("0 1\n")
     assert run("control", "--input", str(f), "--nodes", "7",
                "--output-dir", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("node", ["-1", "99999999999999999999"])
+def test_control_node_outside_the_id_range_exits_2(tmp_path, capsys, node):
+    """Ids below the smallest or above the largest id, even beyond 64 bits,
+    are not present."""
+    f = tmp_path / "p.edges"
+    f.write_text("0 1\n1 2\n2 3\n")
+    out = tmp_path / "o"
+    assert run("control", "--input", str(f), "--nodes", node, "--R", "100",
+               "--output-dir", str(out)) == 2
+    assert f"nodes: node {node} not present in the graph" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_control_repeated_node_exits_2(tmp_path, capsys):

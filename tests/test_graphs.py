@@ -75,7 +75,6 @@ def test_missing_path_raises_file_not_found(tmp_path):
 def test_original_ids_preserved_and_dense_order_sorted():
     g = load_edge_list(b"30 10\n10 20\n")
     assert g.orig_ids.tolist() == [10, 20, 30]
-    assert g.label_map == {10: 0, 20: 1, 30: 2}
     # dense edges relabeled: (10,20)->(0,1), (10,30)->(0,2)
     assert set(zip(g.eu.tolist(), g.ev.tolist())) == {(0, 1), (0, 2)}
 

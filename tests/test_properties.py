@@ -15,9 +15,11 @@ from reference import (
     ref_label_rows,
     ref_live_rows,
     ref_mix64,
+    ref_center_walk,
     ref_control_report,
     ref_pair_counts,
     ref_pieces,
+    ref_sample_pairs,
     ref_unmix64,
     ref_write_access_csv,
     UnionFind,
@@ -28,6 +30,8 @@ import netaccess as na
 from netaccess import AccessEstimate
 from netaccess.graphs import add_edge_distances, argmax_pair, distance_matrix
 from netaccess import _bands, sampler
+from netaccess.evaluation import _sample_pairs
+from netaccess.heuristics import resolve_collision
 from netaccess.sampler import _edge_hashes, _label_rows, _live_rows, triu_bands
 
 settings.register_profile("suite", deadline=None, max_examples=30)
@@ -85,6 +89,16 @@ def test_counters_are_valid(g, alpha, seed):
     assert c.min() >= 0 and c.max() <= 32
 
 
+def _assert_welfare_pair_ties(est):
+    """The minimum pair (u, v) has u < v, and each endpoint's broadcast, its
+    row minimum, is the pair's access: the two tie, so bc-one's choice of
+    the lower id picks a worst-off endpoint."""
+    value, (u, v) = na.welfare(est)
+    b = na.broadcast_all(est)
+    assert u < v
+    assert b[u] == b[v] == value
+
+
 @given(edge_graphs(), alphas, seeds)
 def test_welfare_is_min_broadcast_is_min_pair(g, alpha, seed):
     _, est = na.build_ensemble(g, alpha, 32, seed)
@@ -93,7 +107,45 @@ def test_welfare_is_min_broadcast_is_min_pair(g, alpha, seed):
     off = (est.counters / est.R)[~np.eye(g.n, dtype=bool)]
     assert value == off.min()
     assert (est.counters / est.R)[pair] == value
-    assert pair[0] < pair[1]
+    _assert_welfare_pair_ties(est)
+
+
+@given(estimates())
+def test_welfare_pair_endpoints_tie_on_symmetric_counters(est):
+    _assert_welfare_pair_ties(est)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.4, 0.8])
+def test_welfare_pair_endpoints_tie_on_benchmark_builds(bench_graph, alpha):
+    _assert_welfare_pair_ties(na.build_ensemble(bench_graph, alpha, 256, 0)[1])
+
+
+@given(edge_graphs(n_max=8), st.sampled_from(["bc-one", "bc-both", "infl", "diam-both"]),
+       st.booleans(), st.data())
+def test_center_collision_equals_per_candidate_walk(g, kind, saturate, data):
+    """The one-call adjacency test takes the walk's first legal node; with u
+    joined to every other node there is none, and both give None."""
+    u = data.draw(st.integers(0, g.n - 1))
+    if saturate:
+        g = g.with_edges([(u, w) for w in range(g.n) if w != u and not g.has_edge(u, w)])
+    order = np.array(data.draw(st.permutations(range(g.n))))
+    edges = list(zip(g.eu.tolist(), g.ev.tolist()))
+    expect = ref_center_walk(edges, u, order.tolist())
+    assert resolve_collision(kind, (u, int(order[0])), g, order, None) == expect
+    if saturate:
+        assert expect is None
+
+
+@example(2, 5, 0)
+@example(2**33, 1000, 2**63)
+@example(1133, 1000, 3)
+@given(st.integers(2, 2**33), st.integers(1, 300), st.integers(0, 2**64 - 1))
+def test_sample_pairs_equal_scalar_draws(n, count, seed):
+    """One vectorised draw gives the pairs of 2 * count scalar draws."""
+    iu, ju = _sample_pairs(n, count, seed)
+    ref_iu, ref_ju = ref_sample_pairs(n, count, seed)
+    assert iu.tolist() == ref_iu.tolist() and ju.tolist() == ref_ju.tolist()
+    assert iu.dtype == ju.dtype == np.int64
 
 
 @given(estimates())
@@ -271,8 +323,6 @@ def _assert_canonical(g):
     assert np.all(np.diff(g.orig_ids) > 0)
     assert np.all(g.eu < g.ev)
     assert np.all(np.diff(g.eu * g.n + g.ev) > 0)
-    # the derived view agrees with the array it comes from
-    assert g.label_map == {o: d for d, o in enumerate(g.orig_ids.tolist())}
 
 
 # a size tie needs two largest components; 300 examples reliably include one
@@ -294,6 +344,20 @@ def test_load_and_lcc_match_networkx(lines):
     assert sub.orig_ids.tolist() == sorted(best)
     assert _orig_edges(sub) == _edges(G.subgraph(best))
     assert sub.ingest == g.ingest
+
+
+@given(edge_lines())
+def test_written_edge_lines_ascend(lines):
+    """Each written line is an edge a < b in original ids, in lexicographic
+    order: ascending ``orig_ids`` keep the canonical eu < ev."""
+    g = na.load_edge_list(_text(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.edges")
+        na.write_edge_list(g, path)
+        with open(path, encoding="utf-8") as fh:
+            written = [tuple(map(int, line.split())) for line in fh]
+    assert all(a < b for a, b in written)
+    assert written == sorted(_edges(_nx_graph(lines)))
 
 
 @given(edge_lines(), st.data())
