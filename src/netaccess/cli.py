@@ -333,9 +333,8 @@ def _cmd_control(cfg: RunConfig) -> None:
     if cfg.nodes is None:
         dense_nodes = list(range(g.n))
         logger.warning(
-            "control over all %d nodes counts %d estimates; pass --nodes to restrict",
+            "control over all %d nodes estimates a removal per node; pass --nodes to restrict",
             g.n,
-            g.n + 1,
         )
     reports = access_centrality(
         g,
@@ -430,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_st)
     p_st.add_argument("--reps", type=int, help="repetitions (default 10)")
 
-    p_ct = sub.add_parser("control", help="access-centrality report (costly: re-estimates per node)")
+    p_ct = sub.add_parser("control", help="access-centrality report (costly: labels a removal per node)")
     common(p_ct)
     p_ct.add_argument("--nodes", help="comma-separated original ids (default: all, with a warning)")
     p_ct.add_argument("--exact", action="store_const", const=True, help="use the exact oracle (small m)")

@@ -38,10 +38,11 @@ graph of the earlier block's components, which only the live edges between
 different earlier components enter. At equal alpha the earlier ensemble's
 edges have the same coins, so each of its live edges already lies inside one
 of its components: only the edges outside it can join components, and only
-their coins are drawn and labelled. Control labels the graph and each
-node's removal this way, on one ensemble of the graph without every
-queried node's edges. The counters are identical to a fresh build's, and
-so are the labels unless insertion relabelled the earlier ensemble.
+their coins are drawn and labelled. Control labels the graph this way, on
+one ensemble of the graph without every queried node's edges, and reads
+each node's removal off that ensemble's components. The counters are
+identical to a fresh build's, and so are the labels unless insertion
+relabelled the earlier ensemble.
 
 Co-occurrence is counted from groups of nodes: G is 0/1 with one row per
 group and one column per node, and G^T is built as a CSR matrix straight
@@ -71,13 +72,18 @@ counts) plus its partners, and a band at most ``_bands.CELLS`` unless it is
 a single row. Integer addition is exact and commutes, so the order in which
 bands and blocks arrive does not change a counter. After the last block the
 build finishes the counters and mirrors the upper triangle into the lower
-one, once, a square tile at a time. Inserting an edge adds A^T B and its
-transpose, A and B being the two sides it merges in each sample. Counters
-are 32-bit, so R < 2**31, and a build accumulates them in 32 bits: every
-partial sum lies in [-R, R].
+one, once, a square tile at a time. Counters are 32-bit, so R < 2**31, and
+a build accumulates them in 32 bits: every partial sum lies in [-R, R].
 
-The access summary and control read the pairs i < j in row bands of at
-most ``_bands.CELLS`` pairs (``triu_bands``), never an all-pairs index. An
+Pairs split between parts of a node set are counted by ``_cross_pairs``:
+in each sample a set cut into parts, its largest part left implicit (or
+listed through its complement, as a giant is). Its block holds one row per
+node of the union U of the other parts and counts each pair once. Inserting
+an edge adds it to the counters with the two sides it merges in each
+sample as the parts, and control reads a removal's lost pairs from it.
+
+The access summary reads the pairs i < j in row bands of at most
+``_bands.CELLS`` pairs (``triu_bands``), never an all-pairs index. An
 estimate's access values are the R + 1 fractions c/R, so ``access.csv``
 is written from the counters through a table of those values formatted
 once. Its rows are assembled in bands of rows of one id width, at most
@@ -89,8 +95,9 @@ inf, -0.0 or huge values) pads its values, with 0 bytes dropped from each
 row before it is written.
 
 Every bounded loop here (coin chunks, labelling pieces, counting bands,
-mirror tiles, pair bands, ``access.csv`` bands) cuts its work against the
-one bound ``_bands.CELLS``, read when the loop starts.
+mirror tiles, cross-pair bands and tiles, pair bands, ``access.csv``
+bands) cuts its work against the one bound ``_bands.CELLS``, read when the
+loop starts.
 
 The exact oracle labels all 2^m coin outcomes in chunks like sample blocks
 and adds their one-hot product weighted by each outcome's probability.
@@ -518,17 +525,114 @@ def build_ensemble(
     return ens, AccessEstimate(n=n, R=R, counters=counters)
 
 
+def _cross_pairs(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Count, over b samples, the pairs of each sample's node set that lie
+    in different parts of it.
+
+    Row r of ``parts`` (b x n) gives each node of the set S_r its part, a
+    number in [0, n), and every other node a negative one. Each row's first
+    largest part P_r is left implicit: every cross pair has an end in
+    U_r = S_r minus P_r. Returns (U, block): U the ascending union of the
+    U_r, and block a |U| x n int32 matrix in which each pair is counted
+    once: block[i, j] is the number of rows in which U[i] and j lie in
+    different parts, for every j outside U and every j in U after U[i]; the
+    other cells are 0.
+
+    The rows are read in bands of 3n elements a row against
+    ``_bands.CELLS``, each row's P_r listed as it stands or, when it holds
+    more than n/2 nodes, through the nodes outside it (as
+    ``_accumulate_block`` counts a giant), so a list never holds more than
+    n/2 nodes. One sparse product then gives each node's pairs with P_r
+    over the rows where it lies in U_r, and a second its pairs with the
+    other parts of U_r, kept only for the partners after it; each is
+    written into the block cell by cell, so neither holds more than its
+    nonzero cells. Last, the U x U block is folded onto its upper triangle
+    in square tiles of 3 elements a cell, as a build's mirror is."""
+    b, n = parts.shape
+    if not b:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int32)
+    # per row: whether P_r is listed through its complement; per entry of a
+    # U_r: its row, node and part (a key unique across rows); per entry of a
+    # row's list: its row and node
+    comp = np.zeros(b, dtype=bool)
+    rows, nodes, keys, list_rows, listed = [], [], [], [], []
+    step = band_rows(3 * n)
+    for lo in range(0, b, step):
+        p = parts[lo : lo + step]
+        inside = p >= 0
+        key = p + np.arange(len(p))[:, None] * n
+        size = np.bincount(key[inside], minlength=len(p) * n).reshape(len(p), n)
+        big = size.argmax(axis=1)
+        comp[lo : lo + len(p)] = 2 * size[np.arange(len(p)), big] > n
+        in_big = p == big[:, None]
+        small = inside ^ in_big
+        r, u = np.nonzero(small)
+        rows.append(r + lo)
+        nodes.append(u)
+        keys.append(key[r, u] + lo * n)
+        in_big ^= comp[lo : lo + len(p), None]
+        r, j = np.nonzero(in_big)
+        list_rows.append(r + lo)
+        listed.append(j)
+    rows, nodes, keys = np.concatenate(rows), np.concatenate(nodes), np.concatenate(keys)
+    list_rows = np.concatenate(list_rows)
+    U, pos = np.unique(nodes, return_inverse=True)
+    k = len(U)
+    block = np.zeros((k, n), dtype=np.int32)
+    if not k:
+        return U, block
+    part_ids, part = np.unique(keys, return_inverse=True)
+    ones = np.ones(len(nodes), dtype=np.int32)
+    # each node's rows, and each node's parts
+    in_rows = csr_matrix((ones, (pos, rows)), shape=(k, b))
+    in_parts = csr_matrix((ones, (pos, part)), shape=(k, len(part_ids)))
+    # each row's U_r, and each part's nodes
+    u_rows = csr_matrix((ones, (rows, nodes)), shape=(b, n))
+    members = csr_matrix((ones, (part, nodes)), shape=(len(part_ids), n))
+    # each row's list, +1 for P_r's nodes and -1 for the nodes outside it:
+    # 1 - [j outside P_r] = [j in P_r]
+    sign = np.where(comp[list_rows], -1, 1).astype(np.int32)
+    lists = csr_matrix((sign, (list_rows, np.concatenate(listed))), shape=(b, n))
+    # each node's pairs with P_r, over the rows where it lies in U_r
+    with_big = (in_rows @ lists).tocoo()
+    block[with_big.row, with_big.col] = with_big.data
+    del with_big
+    outside = in_rows @ comp.astype(np.int32)
+    if outside.any():
+        block += outside[:, None]
+    # its pairs with the other parts of U_r, U_r minus its own part, kept
+    # for the partners after it
+    other = (in_rows @ u_rows - in_parts @ members).tocoo()
+    after = (other.data != 0) & (other.col > U[other.row])
+    block[other.row[after], other.col[after]] += other.data[after]
+    del other, after
+    # fold U x U: a pair U[i] < U[j] counted from U[j]'s row moves to U[i]'s
+    side = tile_side(3)
+    for a in range(0, k, side):
+        for c in range(a, k, side):
+            folded = block[a : a + side, U[c : c + side]] + block[c : c + side, U[a : a + side]].T
+            if c == a:
+                folded = np.triu(folded, 1)
+            else:
+                block[c : c + side, U[a : a + side]] = 0
+            block[a : a + side, U[c : c + side]] = folded
+    return U, block
+
+
 def add_edge_incremental(
     ens: SampleEnsemble, est: AccessEstimate, e: tuple[int, int]
 ) -> tuple[SampleEnsemble, AccessEstimate]:
     """Insert edge e into every sample whose coin is live.
 
     In each live sample where the endpoints lie in different components the
-    components merge and every cross pair's counter increments: the delta is
-    A^T B plus its transpose, with one row of A (B) per merging sample
-    marking u's (v's) component. Counters are therefore non-decreasing, and
-    the updated state equals a from-scratch build on the augmented graph
-    with the same seed (same coin function). Mutates and returns (ens, est).
+    two components merge and every pair across them gains one:
+    ``_cross_pairs`` counts those pairs over the merging samples, each
+    sample's set being the two sides with the smaller one explicit, and its
+    block is added to the counters' rows U and, transposed, to their
+    columns U, a band of U at a time. Counters are therefore
+    non-decreasing, and the updated state equals a from-scratch build on
+    the augmented graph with the same seed (same coin function). Mutates
+    and returns (ens, est).
     """
     # raises on a self-loop, an id out of range or an edge already present
     graph = ens.graph.with_edges([e])
@@ -539,11 +643,15 @@ def add_edge_incremental(
     lab = ens.labels
     merge_rows = np.flatnonzero(live & (lab[:, u] != lab[:, v]))
     sub = lab[merge_rows]
-    side_a = sub == sub[:, [u]]
     side_b = sub == sub[:, [v]]
-    cross = (csr_matrix(side_a, dtype=np.int32).T @ csr_matrix(side_b, dtype=np.int32)).toarray()
-    est.counters += cross
-    est.counters += cross.T
+    parts = np.full(sub.shape, -1, dtype=np.int8)
+    parts[sub == sub[:, [u]]] = 0
+    parts[side_b] = 1
+    U, gained = _cross_pairs(parts)
+    step = band_rows(3 * est.n)
+    for lo in range(0, len(U), step):
+        est.counters[U[lo : lo + step]] += gained[lo : lo + step]
+        est.counters[:, U[lo : lo + step]] += gained[lo : lo + step].T
     lab[merge_rows] = np.where(side_b, sub[:, [u]], sub)
     ens.graph = graph
     return ens, est

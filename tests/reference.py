@@ -10,9 +10,10 @@ draw with alpha, where the library compares 64-bit hashes with an integer
 threshold. The labelling reference hands scipy a COO matrix to convert and
 check, where the library assembles a CSR matrix from sorted sources. The
 control reference picks each node's pairs through an explicit index of the
-other nodes from two p matrices, where the library masks one triu index of
-all pairs and reads the removal's integer counters.
+other nodes from two p matrices, where the library reads only the pairs a
+removal splits, from the base counters and the counted loss.
 """
+import math
 from itertools import product
 
 import numpy as np
@@ -147,7 +148,8 @@ def ref_label_rows(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray):
 
 def ref_control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> tuple[float, float, float]:
     """(cent_star, max_pair_control, raw_sum) of node c from the access
-    matrices with and without c's edges, over the pairs avoiding c."""
+    matrices with and without c's edges, over the pairs avoiding c; raw_sum
+    is the correctly rounded sum of the pair controls."""
     others = np.array([i for i in range(len(p)) if i != c])
     iu, ju = np.triu_indices(len(others), k=1)
     pj = p[others[iu], others[ju]]
@@ -157,7 +159,8 @@ def ref_control_report(c: int, p: np.ndarray, p_removed: np.ndarray) -> tuple[fl
     ratio[nonzero] = (pj[nonzero] - pr[nonzero]) / pj[nonzero]
     clamped = np.clip(ratio, 0.0, 1.0)
     max_pair = float(clamped.max()) if len(pj) else 0.0
-    return float(clamped.sum() / len(pj)), max_pair, float(clamped.sum())
+    raw_sum = math.fsum(clamped)
+    return raw_sum / len(pj), max_pair, raw_sum
 
 
 def ref_pieces(cost: list[int], bound: float) -> list[tuple[int, int]]:

@@ -120,6 +120,10 @@ def _run_loops(path) -> tuple[dict, dict]:
         cuts["pair bands"] = len(list(sampler.triu_bands(n)))
         out["bundle"] = evaluation.metrics_bundle(est, g.orig_ids, {})
         out["control"] = na.access_centrality(g, _ALPHA, [0, 75, 149], R=_R, seed=_SEED)
+        # every node, cut into its sample's components: the pairs apart
+        parts = _logged(lab - lab.min(axis=1, keepdims=True))
+        out["cross pairs"] = [a.tolist() for a in sampler._cross_pairs(parts)]
+        cuts["cross-pair bands"] = len(_row_bands(parts.reads, _R))
 
         logged = AccessEstimate(n, _R, _logged(est.counters))
         na.write_access_csv(logged, g.orig_ids, path)
@@ -140,7 +144,11 @@ def _run_loops(path) -> tuple[dict, dict]:
 
         cache = evaluation.SignatureCache()
         na.signature_distances(est, cache=cache)
+        est.counters = _logged(est.counters)
         na.add_edge_incremental(ens, est, (0, 75))
+        # each band of the merged sides' U adds to the rows, then the columns
+        cuts["insertion bands"] = len(est.counters.writes) // 2
+        est.counters = np.asarray(est.counters)
         # every update goes through the cover of the changed counters
         mp.setattr(evaluation, "_UPDATE_SHARE", 1.0)
         out["cached"] = (na.signature_distances(est, cache=cache), cache.d.tolist())
@@ -160,18 +168,24 @@ def test_one_setting_reaches_every_loop(monkeypatch, tmp_path, cells):
         assert got[name] == want[name], name
     for loop, pieces in cut.items():
         assert pieces > max(default[loop], 1), loop
-    assert len(cut) == 10
+    assert len(cut) == 12
 
 
 def test_default_cuts_on_bench1133(bench_graph):
     """The cuts the README documents for bench1133 (n=1133, m=5451): coin
     chunks of 24 rows, access.csv bands of 57 rows, distance and signature
-    bands of 231 rows, one BFS chunk and ten mirror tiles of side 295."""
+    bands of 231 rows, cross-pair bands of 77 rows, one BFS chunk and ten
+    mirror tiles of side 295."""
     g, n = bench_graph, bench_graph.n
     with pytest.MonkeyPatch.context() as mp:
         log = _spies(mp)
         sampler._live_rows(sampler._edge_hashes(0, g.eu, g.ev), 0, 48, 0.4)
         assert log["coins"] == [24, 24]
+
+        # 200 samples whose sets are all of one part: no pair lies apart
+        parts = _logged(np.zeros((200, n), dtype=np.int32))
+        assert sampler._cross_pairs(parts)[1].shape == (0, n)
+        assert _row_bands(parts.reads, 200) == [77, 77, 46]
 
         zeros = AccessEstimate(n, 1, _logged(np.zeros((n, n), dtype=np.int32)))
         na.write_access_csv(zeros, g.orig_ids, os.devnull)

@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import shortest_path
 import netaccess as na
 from netaccess import AccessEstimate
 from netaccess.graphs import add_edge_distances, argmax_pair, distance_matrix
-from netaccess import _bands, sampler
+from netaccess import _bands, advantage, sampler
 from netaccess.evaluation import _sample_pairs
 from netaccess.heuristics import resolve_collision
 from netaccess.sampler import _edge_hashes, _label_rows, _live_rows, triu_bands
@@ -839,3 +839,140 @@ def test_triu_bands_walk_the_upper_triangle(bound, n):
     m = np.arange(n * n).reshape(n, n)
     joined = np.concatenate([m[lo:hi][mask] for lo, hi, mask in bands])
     assert np.array_equal(joined, m[np.triu_indices(n, k=1)])
+
+
+# --- cross-part pairs: a removal's losses and an insertion's gains ---------
+
+def _mirrored(n: int, U: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The n x n symmetric matrix of a ``_cross_pairs`` result, checking on
+    the way that its U x U block holds each pair once, in U's upper
+    triangle."""
+    for i in range(len(U)):
+        assert not block[i, U[: i + 1]].any()
+    full = np.zeros((n, n), dtype=np.int64)
+    full[U] += block
+    full[:, U] += block.T
+    return full
+
+
+@st.composite
+def part_matrices(draw):
+    """(parts, n): b rows of n nodes, each row's set cut into random parts
+    numbered in [0, n), the nodes outside it negative."""
+    n = draw(st.integers(1, 9))
+    b = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(b):
+        k = draw(st.integers(1, n))
+        rows.append(draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)))
+    return np.array(rows, dtype=np.int32).reshape(b, n), n
+
+
+@given(part_matrices(), st.sampled_from([1, 7, 40, 2**62]))
+def test_cross_pairs_count_each_split_pair_once(case, bound):
+    """Each pair of nodes lying in different parts of a row's set is counted
+    once per such row, from the row of its end in U, whatever bands and
+    tiles the bound cuts."""
+    parts, n = case
+    want = np.zeros((n, n), dtype=np.int64)
+    for row in parts.tolist():
+        for i in range(n):
+            for j in range(n):
+                want[i, j] += row[i] >= 0 and row[j] >= 0 and row[i] != row[j]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_bands, "CELLS", bound)
+        U, block = sampler._cross_pairs(parts)
+    assert block.shape == (len(U), n) and block.dtype == np.int32
+    assert np.array_equal(U, np.unique(U))
+    assert np.array_equal(_mirrored(n, U, block), want)
+
+
+_NODE_KINDS = st.sampled_from(["leaf", "degree 2", "hub", "any"])
+
+
+@given(edge_graphs(n_max=8), st.sampled_from(["fragmented", "giant"]), st.floats(0.0, 1.0),
+       _NODE_KINDS, seeds, st.sampled_from([64, 600]), st.integers(1, 3),
+       st.sampled_from([1, 7, 2**62]), st.sampled_from([1 / 16, 1 / 2, 1.0]), st.data())
+def test_control_loss_equals_base_minus_removal_build(g, regime, t, kind, seed, R, workers,
+                                                      bound, share, data):
+    """For every node of a list spanning one or more removal groups, the
+    loss that control counts on its group's sub-ensemble equals the base
+    counters minus a fresh build of the graph without the node's edges, on
+    every pair avoiding it; the node's own pairs hold no loss. The reports
+    equal the reference's on those fresh builds."""
+    assume(g.n >= 3)
+    lo, hi = (0.05, 0.25) if regime == "fragmented" else (0.75, 0.95)
+    alpha = lo + t * (hi - lo)
+    deg = np.bincount(np.concatenate([g.eu, g.ev]), minlength=g.n)
+    if kind == "hub":
+        c = int(np.argmax(deg))
+    elif kind == "any":
+        c = data.draw(st.integers(0, g.n - 1))
+    else:
+        have = np.flatnonzero(deg == (1 if kind == "leaf" else 2)).tolist()
+        assume(have)
+        c = data.draw(st.sampled_from(have))
+    others = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3, unique=True))
+    nodes = [c] + [d for d in others if d != c]
+    base = na.build_ensemble(g, alpha, R, seed)[1].counters
+    removed = {d: na.build_ensemble(g.without_node_edges(d), alpha, R, seed)[1].counters
+               for d in nodes}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_bands, "CELLS", bound)
+        mp.setattr(advantage, "_GROUP_SHARE", share)
+        for group in advantage._removal_groups(g, nodes):
+            sub = na.build_ensemble(
+                g.without_node_edges(*group), alpha, R, seed, workers=workers, count=False
+            )[0]
+            for d in group:
+                U, lost = advantage._loss(g, sub, sub.labels.min(axis=1), d)
+                want = base - removed[d].astype(np.int64)
+                want[d] = want[:, d] = 0
+                assert np.array_equal(_mirrored(g.n, U, lost), want)
+        reps = na.access_centrality(g, alpha, nodes, R=R, seed=seed, workers=workers)
+    for d, rep in zip(nodes, reps):
+        assert (rep.cent_star, rep.max_pair_control, rep.raw_sum) == ref_control_report(
+            d, base / R, removed[d] / R
+        )
+
+
+@st.composite
+def two_sided_graphs(draw):
+    """(g, e): a graph of two connected halves, each a tree with a few
+    chords, and an absent edge e between them: in every sample where e is
+    live it merges two sides, both large in the giant regime."""
+    halves = [draw(edge_graphs(n_max=6, connected=True)) for _ in range(2)]
+    shift = halves[0].n
+    lines = [f"{u} {v}\n" for u, v in zip(halves[0].eu.tolist(), halves[0].ev.tolist())]
+    lines += [f"{u + shift} {v + shift}\n"
+              for u, v in zip(halves[1].eu.tolist(), halves[1].ev.tolist())]
+    g = na.load_edge_list("".join(lines).encode())
+    e = (draw(st.integers(0, shift - 1)), draw(st.integers(shift, g.n - 1)))
+    return g, e
+
+
+@given(st.one_of(two_sided_graphs(), edge_graphs(n_max=8).flatmap(
+    lambda g: st.tuples(st.just(g), st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))))),
+       st.sampled_from(["fragmented", "giant"]), st.floats(0.0, 1.0), seeds,
+       st.sampled_from([64, 600]), st.sampled_from([1, 7, 40, 2**62]))
+def test_insertion_equals_dense_update_and_rebuild(case, regime, t, seed, R, bound):
+    """Inserting an edge adds to the counters what the dense update adds,
+    A^T B and its transpose with one row of A (B) per merging sample marking
+    u's (v's) side, and then equals a rebuild on the augmented graph, with
+    the bound cutting the kernel's bands of rows and of U and its tiles."""
+    g, (u, v) = case
+    assume(u != v and not g.has_edge(u, v))
+    lo, hi = (0.05, 0.25) if regime == "fragmented" else (0.75, 0.95)
+    alpha = lo + t * (hi - lo)
+    ens, est = na.build_ensemble(g, alpha, R, seed)
+    live = _live_rows(_edge_hashes(seed, np.array([min(u, v)]), np.array([max(u, v)])),
+                      0, R, alpha)[:, 0]
+    sides = ens.labels[live & (ens.labels[:, u] != ens.labels[:, v])]
+    a = (sides == sides[:, [u]]).astype(np.int64)
+    b = (sides == sides[:, [v]]).astype(np.int64)
+    dense = est.counters + a.T @ b + b.T @ a
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_bands, "CELLS", bound)
+        na.add_edge_incremental(ens, est, (u, v))
+    assert np.array_equal(est.counters, dense)
+    assert np.array_equal(est.counters, na.build_ensemble(ens.graph, alpha, R, seed)[1].counters)
