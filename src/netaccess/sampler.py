@@ -86,13 +86,14 @@ The access summary reads the pairs i < j in row bands of at most
 ``_bands.CELLS`` pairs (``triu_bands``), never an all-pairs index. An
 estimate's access values are the R + 1 fractions c/R, so ``access.csv``
 is written from the counters through a table of those values formatted
-once. Its rows are assembled in bands of rows of one id width, at most
-``_bands.CELLS`` / 4 cells each; a band's columns are cut into runs of one
-id width, and each run is filled as one array of fixed-width records (row id,
-column id, value), so a row is one slice of the band's buffer. Only a
-value table whose entries differ in width (a float matrix holding nan,
-inf, -0.0 or huge values) pads its values, with 0 bytes dropped from each
-row before it is written.
+once. The writer takes only counters in [0, R], or probabilities in [0, 1]
+with no sign bit, over strictly ascending ids, and checks them before it
+opens the file: every value is then 9 bytes with its newline, and the ids
+fall into one run per digit count. Its rows are assembled in bands of rows
+of one id width, at most ``_bands.CELLS`` / 4 cells each; a band's columns
+are cut at the runs, and each run is filled as one array of fixed-width
+records (row id, column id, value), so a row is one slice of the band's
+buffer.
 
 Every bounded loop here (coin chunks, labelling pieces, counting bands,
 mirror tiles, cross-pair bands and tiles, pair bands, ``access.csv``
@@ -724,64 +725,86 @@ def stability_check(
     return int(diff.max()) / R, int(diff.sum(dtype=np.int64)) / (R * g.n * (g.n - 1))
 
 
-def _padded(strings: list[str]) -> np.ndarray:
-    """ASCII strings as the rows of a uint8 matrix, right-padded with 0 bytes."""
-    return np.array([s.encode() for s in strings]).view(np.uint8).reshape(len(strings), -1)
+def _check_ids_ascend(ids: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ids strictly ascend, naming the first id that
+    repeats an earlier one, in their order, or else the first descent."""
+    if (ids[1:] > ids[:-1]).all():
+        return
+    new = np.zeros(len(ids), dtype=bool)
+    new[np.unique(ids, return_index=True)[1]] = True
+    if not new.all():
+        raise ValueError(f"{what} repeats original id {ids[np.argmin(new)]}")
+    i = np.flatnonzero(ids[1:] < ids[:-1])[0]
+    raise ValueError(f"{what} has original id {ids[i + 1]} after {ids[i]}: ids must ascend")
 
 
 def _value_codes(values: AccessEstimate | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, table): an n x n integer matrix and the padded formatted values
-    it indexes, table[codes[i, j]] being f"{p_ij:.6f}\n".
+    """(codes, table): an n x n integer matrix and the formatted values it
+    indexes, table[codes[i, j]] being the 9 bytes f"{p_ij:.6f}\n".
 
-    An estimate's p takes only the values c/R, so its codes are the counters
-    and its table formats c = 0..R, exactly as ``counters / float(R)`` would
-    print (both divisions are correctly rounded). That table is built only
-    when it is shorter than the matrix. Otherwise each distinct float64 bit
-    pattern of p is formatted once; keying on bits, not values, keeps -0.0
-    apart from 0.0."""
-    if isinstance(values, AccessEstimate) and values.R < values.counters.size:
-        R = values.R
-        return values.counters, _padded([f"{c / R:.6f}\n" for c in range(R + 1)])
-    p = values.counters / float(values.R) if isinstance(values, AccessEstimate) else values
-    bits = np.ascontiguousarray(p, dtype=np.float64).view(np.uint64)
-    keys, codes = np.unique(bits, return_inverse=True)
-    table = _padded([f"{v:.6f}\n" for v in keys.view(np.float64).tolist()])
-    return codes.reshape(bits.shape), table
+    An estimate's p takes only the values c/R, so it is keyed on its
+    counters: its table formats c = 0..R when that is shorter than the
+    matrix, and otherwise each distinct counter once, exactly as
+    ``counters / float(R)`` would print (both divisions are correctly
+    rounded). A matrix is keyed on its distinct values.
+
+    Raises ValueError unless every counter lies in [0, R], or every entry
+    of a matrix in [0, 1] with no sign bit (nan, inf and -0.0 are not):
+    every value then prints as 8 characters."""
+    if isinstance(values, AccessEstimate):
+        R, a = values.R, values.counters
+        lo, hi = int(a.min(initial=0)), int(a.max(initial=0))
+        if lo < 0 or hi > R:
+            bad = lo if lo < 0 else hi
+            i, j = np.unravel_index(np.argmax(a == bad), a.shape)
+            raise ValueError(f"access counters must lie in [0, R={R}]: counters[{i}, {j}] = {bad}")
+        if R < a.size:
+            return a, np.array([f"{c / R:.6f}\n" for c in range(R + 1)], dtype="S9")
+    else:
+        # a matrix holds p itself, and p / 1 prints as p
+        R, a = 1, values
+        bad = np.signbit(a) | ~(a <= 1)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), a.shape)
+            raise ValueError(
+                "access values must be probabilities in [0, 1] with no sign bit: "
+                f"p[{i}, {j}] = {a[i, j].item()!r}"
+            )
+    keys, codes = np.unique(a, return_inverse=True)
+    table = [f"{c / R:.6f}\n" for c in keys.tolist()]
+    return codes.reshape(a.shape), np.array(table, dtype="S9")
 
 
 def write_access_csv(
     values: AccessEstimate | np.ndarray, orig_ids: np.ndarray, path: str
 ) -> None:
     """CSV "i,j,p" over original ids with i<j, each value exactly f"{p:.6f}",
-    from an estimate or any n x n matrix p with one id per row.
+    from an estimate or a matrix of probabilities p with one id per row.
 
     Rows are assembled in bands of rows whose heads f"{id}," have one width,
     as many rows of n cells as the bound holds at four elements a cell (at
-    least one; ``_bands.band_rows``). A band's
-    columns j > lo (its first row) are cut into the runs of equal head width
-    in node order, one run per digit count when the ids ascend, as every
-    Graph's do. Each run is a view of the band's uint8 buffer as packed
-    records (row head, column head, value), filled by three assignments: the
-    band's row heads, the run's column heads and the values looked up in the
-    table of ``_value_codes``. Each row is then written with one ``write``
-    from its column i+1; the cells j <= i of the band's diagonal block are
-    filled and skipped. When the table's entries differ in width (a float
-    matrix holding nan, inf, -0.0 or huge values) the value fields keep
-    their 0 padding, and each row's 0 bytes, never an output byte, are
-    dropped before its write. No all-pairs buffer is held.
+    least one; ``_bands.band_rows``). A band's columns j > lo (its first
+    row) are cut into the runs of equal head width in node order, one run
+    per digit count as the ids ascend. Each run is a view of the band's
+    uint8 buffer as packed records (row head, column head, value), filled by
+    three assignments: the band's row heads, the run's column heads and the
+    values looked up in the table of ``_value_codes``. Each row is then
+    written with one ``write`` from its column i+1; the cells j <= i of the
+    band's diagonal block are filled and skipped. No all-pairs buffer is
+    held.
 
     Raises ValueError, before the file is opened, unless the values form an
-    n x n matrix for the n ids."""
+    n x n matrix for n strictly ascending ids, and unless they are an
+    estimate with counters in [0, R] or probabilities in [0, 1] with no
+    sign bit."""
     shape = np.shape(values.counters if isinstance(values, AccessEstimate) else values)
     n = len(orig_ids)
     if shape != (n, n):
         raise ValueError(
             f"access values must be an n x n matrix for n ids: got shape {shape} and {n} ids"
         )
-    codes, table = _value_codes(values)
-    vw = table.shape[1]
-    vals = table.view(f"S{vw}")[:, 0]
-    padded = not table.all()  # entries of unequal width, ending in 0 bytes
+    _check_ids_ascend(orig_ids, "the id list")
+    codes, vals = _value_codes(values)
     # (start, stop, width, heads): the runs of equal head width in node order
     runs = []
     for w, group in itertools.groupby((f"{b},".encode() for b in orig_ids.tolist()), len):
@@ -798,14 +821,14 @@ def write_access_csv(
                 # the band's columns j > lo, cut at the runs
                 cols = [(max(c, lo + 1), d, wj, heads[max(lo + 1 - c, 0) :])
                         for c, d, wj, heads in runs if d > lo + 1]
-                size = sum((d - c) * (wi + wj + vw) for c, d, wj, _ in cols)
+                size = sum((d - c) * (wi + wj + 9) for c, d, wj, _ in cols)
                 buf = np.empty((hi - lo, size), dtype=np.uint8)
                 starts = []  # row i's offset of its column i+1
                 off = 0
                 for c, d, wj, col_heads in cols:
-                    rec = wi + wj + vw
+                    rec = wi + wj + 9
                     cells = buf[:, off : off + (d - c) * rec].view(
-                        [("hi", f"S{wi}"), ("hj", f"S{wj}"), ("v", f"S{vw}")]
+                        [("hi", f"S{wi}"), ("hj", f"S{wj}"), ("v", "S9")]
                     )
                     # row heads repeated and values taken into contiguous arrays:
                     # numpy copies a bytes field from a source broadcast along
@@ -820,19 +843,24 @@ def write_access_csv(
                     off += (d - c) * rec
                 flat = memoryview(buf).cast("B")
                 for r, s in enumerate(starts):
-                    if padded:
-                        row = buf[r, s:]
-                        fh.write(row[row != 0])
-                    else:
-                        fh.write(flat[r * size + s : (r + 1) * size])
+                    fh.write(flat[r * size + s : (r + 1) * size])
 
 
 def save_estimate(est: AccessEstimate, orig_ids: np.ndarray, alpha: float, seed: int, path: str) -> None:
     """Binary dump: magic 'ACE1', then little-endian header
     (version u32, n u32, R u32, alpha f64, seed u64), original ids as u32[n],
-    and the strict upper triangle of the counters as u32, row-major."""
+    and the strict upper triangle of the counters as u32, row-major.
+
+    Raises ValueError, before the file is opened, unless there is one id
+    per node and every id lies in [0, 2**32)."""
     n = est.n
-    if len(orig_ids) and int(orig_ids.max()) >= 2**32:
+    if len(orig_ids) != n:
+        raise ValueError(f"an estimate of n={n} nodes needs {n} original ids, got {len(orig_ids)}")
+    if int(orig_ids.min(initial=0)) < 0:
+        raise ValueError(
+            f"original id {int(orig_ids.min())} is negative and does not fit the binary format"
+        )
+    if int(orig_ids.max(initial=0)) >= 2**32:
         raise ValueError("original ids above 2**32-1 do not fit the binary format")
     with open(path, "wb") as fh:
         fh.write(ESTIMATE_MAGIC)
@@ -847,8 +875,8 @@ def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
     """Read a binary dump; returns (estimate, orig_ids, alpha, seed).
 
     Raises ValueError naming the problem on a bad magic or header field, a
-    truncated file, trailing bytes, a repeated original id, or a pair
-    counter above R."""
+    truncated file, trailing bytes, original ids that repeat or descend, or
+    a pair counter above R."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != ESTIMATE_MAGIC:
@@ -873,11 +901,7 @@ def load_estimate(path: str) -> tuple[AccessEstimate, np.ndarray, float, int]:
             f"estimate file has {len(data) - expected} trailing bytes after {expected}"
         )
     orig_ids = np.frombuffer(data, dtype="<u4", count=n, offset=32).astype(np.int64)
-    seen = set()
-    for v in orig_ids.tolist():
-        if v in seen:
-            raise ValueError(f"estimate file repeats original id {v}")
-        seen.add(v)
+    _check_ids_ascend(orig_ids, "estimate file")
     tri = np.frombuffer(data, dtype="<u4", count=n_pairs, offset=32 + 4 * n)
     # checked as u32: a count of 2**31 or more would wrap negative in int32
     if n_pairs and int(tri.max()) > R:

@@ -565,6 +565,16 @@ def test_evaluate_rejects_repeated_ids_exits_1(tmp_path, capsys):
     assert not (out / "metrics_k0.json").exists()
 
 
+def test_evaluate_rejects_descending_ids_exits_1(tmp_path, capsys):
+    c = np.array([[8, 2, 2], [2, 8, 5], [2, 5, 8]], dtype=np.int32)
+    path = str(tmp_path / "down.bin")
+    na.save_estimate(na.AccessEstimate(n=3, R=8, counters=c), np.array([9, 4, 7]), 0.5, 0, path)
+    out = tmp_path / "ev"
+    assert run("evaluate", "--estimate-in", path, "--output-dir", str(out)) == 1
+    assert "original id 4 after 9: ids must ascend" in capsys.readouterr().err
+    assert not (out / "metrics_k0.json").exists()
+
+
 def test_oracle_cap_exits_1(tmp_path):
     f = tmp_path / "big.edges"
     f.write_text("".join(f"{i} {i + 1}\n" for i in range(25)))

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 from dataclasses import replace
 from unittest import mock
@@ -39,7 +40,7 @@ settings.load_profile("suite")
 
 
 @st.composite
-def edge_graphs(draw, n_max=6, connected=False):
+def edge_graphs(draw, n_max=6, connected=False, m_max=10):
     """A Graph built from random edges; node count comes from the ids used."""
     n = draw(st.integers(2, n_max))
     if connected:
@@ -48,7 +49,7 @@ def edge_graphs(draw, n_max=6, connected=False):
         edges |= draw(st.sets(st.sampled_from(pairs), max_size=4))
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=10))
+        edges = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=m_max))
     lines = "".join(f"{u} {v}\n" for u, v in sorted(edges)).encode()
     return na.load_edge_list(lines)
 
@@ -463,31 +464,28 @@ def test_distance_update_equals_recomputation(lines, data):
         )
 
 
-# values whose formatting a table keyed on float values rather than bit
-# patterns would get wrong (-0.0 vs 0.0), or that sit on a 6-decimal tie
-_FORMAT_EDGES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, 1.5, 2.0, 1e300,
-                 5e-7, 0.1234565, 0.9999995, -5e-7, 1 / 3]
+# probabilities at the ends of [0, 1] or on a 6-decimal tie
+_FORMAT_EDGES = [0.0, 1.0, 5e-7, 0.1234565, 0.9999995, 1 / 3]
 
 
 @st.composite
 def access_matrices(draw):
     """(p, orig_ids): a random, generally non-symmetric n x n matrix of
-    float64, float32 or int32 entries, possibly non-contiguous, with
-    distinct ids."""
+    float64, float32 or int32 probabilities, possibly non-contiguous, over
+    ascending ids."""
     n = draw(st.integers(1, 6))
     dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
     if dtype is np.int32:
-        elems = st.integers(-(2**31), 2**31 - 1)
+        elems = st.integers(0, 1)
     else:
         width = 32 if dtype is np.float32 else 64
-        elems = st.sampled_from(_FORMAT_EDGES) | st.floats(width=width)
+        elems = st.sampled_from(_FORMAT_EDGES) | st.floats(0.0, 1.0, width=width)
     values = draw(st.lists(elems, min_size=n * n, max_size=n * n))
-    with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
-        p = np.array(values, dtype=dtype).reshape(n, n)
+    p = np.array(values, dtype=dtype).reshape(n, n)
     if draw(st.booleans()):
         p = p.T
     ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n, unique=True))
-    return p, np.array(ids, dtype=np.int64)
+    return p, np.array(sorted(ids), dtype=np.int64)
 
 
 def _upper_triangle(values, n):
@@ -498,23 +496,13 @@ def _upper_triangle(values, n):
 
 
 # inputs that cross the writer's row bands and its runs of equal id width;
-# ids 0..199 have runs of 10, 90 and 100 rows, shuffled ids change width at
-# almost every column
+# ids 0..199 have runs of 10, 90 and 100 rows
 _rng = np.random.default_rng(22)
 _IDS_200 = np.arange(200)
 _IDS_200_SHUFFLED = _rng.permutation(200)
 _COUNTERS_200 = _rng.integers(0, 1025, (200, 200)).astype(np.int32)
 _COUNTERS_70 = _rng.integers(0, 70 * 70 + 1, (70, 70)).astype(np.int32)
-
-
-def _mixed_width_matrix():
-    """150 x 150 floats in [0, 1) with nan, +-inf, -0.0 and 1e300 above the
-    diagonal in rows of each 64-row band: 0..9, 10..73, 74..99, 100..148."""
-    p = _rng.random((150, 150))
-    for row in (3, 40, 80, 120):
-        p[row, [row + 1, 99, 100, 149]] = [np.nan, np.inf, -np.inf, 1e300]
-        p[row, row + 2] = -0.0
-    return p
+_RANDOM_150 = _rng.random((150, 150))
 
 
 def _access_csv_bytes(write, p, orig_ids) -> bytes:
@@ -538,14 +526,12 @@ def _banded_csv_bytes(values, orig_ids) -> list[bytes]:
 @settings(max_examples=200)
 @given(access_matrices())
 @example((np.ones((1, 1)), np.array([5])))
-@example((np.array([[1.0, -0.0], [0.0, 1.0]]), np.array([3, 1])))
-@example((np.array([[1.0, 0.0], [-0.0, 1.0]]), np.array([0, 1])))
-@example((np.array([[1, -7], [2**31 - 1, 0]], dtype=np.int32), np.array([4, 2])))
-@example((np.array([[0.1234565, 0.9999995], [5e-7, -0.0]], dtype=np.float32), np.array([8, 9])))
-@example((_upper_triangle(_FORMAT_EDGES, 6), np.arange(10, 16)))
+@example((np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 3])))
+@example((np.array([[1, 0], [1, 0]], dtype=np.int32), np.array([2, 4])))
+@example((np.array([[0.1234565, 0.9999995], [5e-7, 0.0]], dtype=np.float32), np.array([8, 9])))
+@example((_upper_triangle(_FORMAT_EDGES, 4), np.arange(10, 14)))
 @example((_COUNTERS_200 / 1024, _IDS_200))
-@example((_COUNTERS_200 / 1024, _IDS_200_SHUFFLED))
-@example((_mixed_width_matrix(), np.arange(150)))
+@example((_RANDOM_150, np.arange(150)))
 def test_access_csv_matches_reference_writer(case):
     p, orig_ids = case
     want = _access_csv_bytes(ref_write_access_csv, p, orig_ids)
@@ -556,8 +542,8 @@ def test_access_csv_matches_reference_writer(case):
 @st.composite
 def access_estimates(draw):
     """(est, orig_ids): counters in [0, R] with diagonal R, generally not
-    symmetric, R from 1 to 2**31 - 1 (both sides of R = n * n), and distinct
-    ids of mixed digit widths."""
+    symmetric, R from 1 to 2**31 - 1 (both sides of R = n * n), and
+    ascending ids of mixed digit widths."""
     n = draw(st.integers(1, 8))
     R = draw(st.integers(1, 70) | st.integers(1, 2**31 - 1))
     values = draw(st.lists(st.integers(0, R), min_size=n * n, max_size=n * n))
@@ -565,7 +551,7 @@ def access_estimates(draw):
     np.fill_diagonal(c, R)
     id_widths = st.integers(0, 9) | st.integers(0, 99_999) | st.integers(0, 2**32 - 1)
     ids = draw(st.lists(id_widths, min_size=n, max_size=n, unique=True))
-    return AccessEstimate(n=n, R=R, counters=c), np.array(ids, dtype=np.int64)
+    return AccessEstimate(n=n, R=R, counters=c), np.array(sorted(ids), dtype=np.int64)
 
 
 def _estimate_case(counters, R, ids):
@@ -580,14 +566,54 @@ def _estimate_case(counters, R, ids):
 @example(_estimate_case([[2**31 - 1, 0], [1, 2**31 - 1]], 2**31 - 1, [5, 123456]))
 @example(_estimate_case([[8, 1, 7], [1, 8, 4], [7, 4, 8]], 8, [9, 10, 100]))
 @example(_estimate_case(_COUNTERS_200, 1024, _IDS_200))
-@example(_estimate_case(_COUNTERS_200, 1024, _IDS_200_SHUFFLED))
 @example(_estimate_case(_COUNTERS_70, 70 * 70, np.arange(70) * 37))
 def test_access_csv_from_estimate_matches_reference_writer(case):
     """An estimate's counters, looked up in the c/R table or, for R of at
-    least n * n, in p's bit patterns, give the bytes of formatting p."""
+    least n * n, in the table of its distinct counters, give the bytes of
+    formatting p."""
     est, orig_ids = case
     want = _access_csv_bytes(ref_write_access_csv, est.counters / est.R, orig_ids)
     assert _banded_csv_bytes(est, orig_ids) == [want] * 3
+
+
+def _with(p, i, j, v):
+    p = np.array(p)
+    p[i, j] = v
+    return p
+
+
+@pytest.mark.parametrize("values, ids, message", [
+    (_with(np.ones((2, 2)), 0, 1, np.nan), [0, 1], "p[0, 1] = nan"),
+    (_with(np.ones((2, 2)), 0, 1, -np.nan), [0, 1], "p[0, 1] = nan"),
+    (_with(np.ones((2, 2)), 0, 1, np.inf), [0, 1], "p[0, 1] = inf"),
+    (_with(np.ones((2, 2)), 1, 0, -np.inf), [0, 1], "p[1, 0] = -inf"),
+    (_with(np.ones((2, 2)), 0, 1, -0.0), [0, 1], "p[0, 1] = -0.0"),
+    (_with(np.ones((2, 2)), 1, 0, -0.0), [0, 1], "p[1, 0] = -0.0"),
+    (_with(np.ones((2, 2), dtype=np.float32), 1, 1, -0.0), [8, 9], "p[1, 1] = -0.0"),
+    (_with(np.ones((2, 2)), 0, 1, -5e-7), [0, 1], "p[0, 1] = -5e-07"),
+    (_with(np.ones((2, 2)), 0, 1, 1.5), [0, 1], "p[0, 1] = 1.5"),
+    (_with(np.ones((2, 2)), 0, 1, 1e300), [0, 1], "p[0, 1] = 1e+300"),
+    (np.array([[1, -7], [2**31 - 1, 0]], dtype=np.int32), [4, 5], "p[0, 1] = -7"),
+    (np.array([[1, 0], [2**31 - 1, 0]], dtype=np.int32), [4, 5], "p[1, 0] = 2147483647"),
+    # R < n * n keys on c = 0..R, R >= n * n on the distinct counters
+    (_estimate_case([[4, -1, 0], [0, 4, 0], [0, 0, 4]], 4, [0, 1, 2])[0], [0, 1, 2],
+     "counters[0, 1] = -1"),
+    (_estimate_case([[4, 0, 0], [0, 4, 0], [0, 5, 4]], 4, [0, 1, 2])[0], [0, 1, 2],
+     "counters[2, 1] = 5"),
+    (_estimate_case([[9, -1], [0, 9]], 9, [0, 1])[0], [0, 1], "counters[0, 1] = -1"),
+    (_estimate_case([[9, 10], [0, 9]], 9, [0, 1])[0], [0, 1], "counters[0, 1] = 10"),
+    (np.ones((2, 2)), [3, 3], "repeats original id 3"),
+    (np.ones((2, 2)), [3, 1], "original id 1 after 3: ids must ascend"),
+    (_COUNTERS_200 / 1024, _IDS_200_SHUFFLED, "ids must ascend"),
+    (_estimate_case(_COUNTERS_200, 1024, _IDS_200)[0], _IDS_200_SHUFFLED, "ids must ascend"),
+])
+def test_access_csv_rejects_what_is_not_access_before_writing(tmp_path, values, ids, message):
+    """Values outside [0, 1] (or counters outside [0, R]), a sign bit, and
+    ids that repeat or descend raise before the file is opened."""
+    out = tmp_path / "access.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        na.write_access_csv(values, np.array(ids), str(out))
+    assert not out.exists()
 
 
 # --- coins, labelling and shared control coins ------------------------------
@@ -597,6 +623,23 @@ coin_alphas = st.one_of(
     st.integers(1, 2**53 - 1).map(lambda k: k * 2.0**-53),  # alpha * 2**53 integral
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
+
+
+@settings(max_examples=100)
+@given(edge_graphs(n_max=7, m_max=12), coin_alphas)
+@example(na.load_edge_list(b"0 1\n1 2\n0 2\n"), 5e-324)
+@example(na.load_edge_list(b"0 1\n1 2\n0 2\n"), 2.0**-53)
+@example(na.load_edge_list(b"0 1\n1 2\n0 2\n"), 0.5)
+@example(na.load_edge_list(b"".join(b"%d %d\n" % e for e in
+                                    [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                     (3, 4), (4, 5), (5, 6), (4, 6), (0, 6), (2, 5)])),
+         1 - 2.0**-53)
+def test_oracle_values_are_probabilities(g, alpha):
+    """The oracle's p, the only matrix the CLI writes to access.csv, lies in
+    [0, 1] with no sign bit, so the writer accepts it."""
+    p = na.exact_access_oracle(g, alpha)
+    assert ((p >= 0) & (p <= 1) & ~np.signbit(p)).all()
+    sampler._value_codes(p)
 
 
 @settings(max_examples=200)

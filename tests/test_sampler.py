@@ -612,6 +612,32 @@ def test_load_estimate_rejects_repeated_ids(tmp_path, ids, repeated):
         na.load_estimate(path)
 
 
+def test_load_estimate_rejects_descending_ids(tmp_path):
+    # welfare's pair would come out as (9, 4), not u < v
+    c = np.array([[8, 2, 2], [2, 8, 5], [2, 5, 8]], dtype=np.int32)
+    path = str(tmp_path / "down.bin")
+    na.save_estimate(na.AccessEstimate(n=3, R=8, counters=c), np.array([9, 4, 7]), 0.5, 0, path)
+    with pytest.raises(ValueError, match="estimate file has original id 4 after 9: ids must ascend$"):
+        na.load_estimate(path)
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([4, -1, 7], "original id -1 is negative"),
+        ([4, 7], "an estimate of n=3 nodes needs 3 original ids, got 2"),
+        ([4, 7, 8, 9], "an estimate of n=3 nodes needs 3 original ids, got 4"),
+        ([4, 7, 2**32], "original ids above 2**32-1 do not fit the binary format"),
+    ],
+)
+def test_save_estimate_rejects_ids_the_format_cannot_hold(tmp_path, ids, message):
+    est = na.AccessEstimate(n=3, R=10, counters=np.full((3, 3), 10, dtype=np.int32))
+    path = tmp_path / "est.bin"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        na.save_estimate(est, np.array(ids), 0.5, 0, str(path))
+    assert not path.exists()
+
+
 def _header(version=1, n=3, R=900, alpha=0.37):
     return b"ACE1" + struct.pack("<IIIdQ", version, n, R, alpha, 13)
 
